@@ -3,17 +3,16 @@
 # resurrect the seed's duplicate-basename collection failure.
 # `make test-fast` skips tests marked `slow` (sharding stress runs);
 # `make check` additionally fails on any pytest collection warning and
-# runs the bench smokes + committed-artifact validation.
+# runs the two bench smokes (train-bench, serve-bench) + committed-artifact
+# validation.
 # `make ci` / `make ci-fast` are the CI pipeline (lint + check), exactly
 # what .github/workflows/ci.yml runs — reproducible locally in one line.
 
 PYTHON ?= python
 
 .PHONY: test test-fast check check-fast lint ci ci-fast check-bench-artifacts \
-	clean-pyc serve-bench serve-bench-async serve-bench-smoke shard-bench \
-	train-bench bench-smoke quant-bench quant-bench-smoke embed-bench \
-	embed-bench-smoke chaos-bench chaos-smoke track-bench track-smoke \
-	snapshot warm-serve
+	clean-pyc serve-bench serve-bench-smoke shard-bench train-bench \
+	bench-smoke snapshot warm-serve
 
 test: clean-pyc
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -33,9 +32,10 @@ check-fast:
 lint:
 	$(PYTHON) scripts/lint.py
 
-# Bench-drift guard: schema-validate the committed BENCH_train.json /
-# BENCH_serve.json trajectories (headline-floor fields included), so a
-# hand-edited or stale artifact fails the build.
+# Bench-drift guard: run the committed BENCH_train.json /
+# BENCH_serve.json trajectories through repro.bench.validate_bench_payload
+# (schema, fields and every headline floor), so a hand-edited or stale
+# artifact fails the build.
 check-bench-artifacts:
 	$(PYTHON) scripts/check_bench_artifacts.py
 
@@ -50,28 +50,28 @@ clean-pyc:
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +
 	find . -name '*.pyc' -delete
 
+# The serving benchmark: sweeps flush deadline vs throughput through
+# the async front end with concurrent producers, asserts prediction
+# parity + the headline speedup over per-query serving, then runs the
+# shard-worker sweep, the quantized uint8 scan, the learned-embedding
+# kNN, the chaos fault storm, the streaming-session harness and the
+# model-store cold-vs-warm restart leg, asserting each block's preset
+# floors, and writes BENCH_serve.json.
 serve-bench:
-	PYTHONPATH=src $(PYTHON) -m repro.cli serve-bench
-
-# Deadline-driven async front end: sweeps flush deadline vs throughput
-# with concurrent producers, asserts prediction parity + the headline
-# speedup over per-query serving, sweeps the multi-process shard-worker
-# tier against the thread front end (preset worker counts), runs the
-# model-store cold-vs-warm restart leg, and writes BENCH_serve.json.
-serve-bench-async:
 	rm -rf /tmp/repro-model-store.bench
-	PYTHONPATH=src $(PYTHON) -m repro.cli serve-bench --async \
+	PYTHONPATH=src $(PYTHON) -m repro.cli serve-bench \
 		--store /tmp/repro-model-store.bench
 	rm -rf /tmp/repro-model-store.bench
 
-# Tiny-workload async serve-bench: validates the emitted
-# BENCH_serve.json schema (store restart leg and a workers=2
-# multi-process leg included) without overwriting the real trajectory;
-# hooked into scripts/check_suite.sh so a broken async bench fails
-# `make check`.  The artifact is left in /tmp so CI can upload it.
+# Tiny-workload serve-bench: runs every block at smoke scale and
+# validates the emitted BENCH_serve.json (store restart leg and a
+# workers=2 multi-process leg included) without overwriting the real
+# trajectory; hooked into scripts/check_suite.sh so a broken serving
+# block fails `make check`.  The artifact is left in /tmp so CI can
+# upload it.
 serve-bench-smoke:
 	rm -rf /tmp/repro-model-store.smoke /tmp/BENCH_serve.smoke.json
-	PYTHONPATH=src $(PYTHON) -m repro.cli serve-bench --async --preset smoke \
+	PYTHONPATH=src $(PYTHON) -m repro.cli serve-bench --preset smoke \
 		--workers 2 \
 		--store /tmp/repro-model-store.smoke \
 		--output /tmp/BENCH_serve.smoke.json
@@ -79,63 +79,6 @@ serve-bench-smoke:
 
 shard-bench:
 	PYTHONPATH=src $(PYTHON) -m repro.cli shard-bench
-
-# Quantized uint8 radio-map scan vs the monolithic float32 brute scan
-# on the ~200k-point quant map: asserts the req/s, recall-at-k, and
-# bytes-per-fingerprint floors (the serve-bench quant block, standalone).
-quant-bench:
-	PYTHONPATH=src $(PYTHON) -m repro.cli quant-bench
-
-# Tiny-map quant-bench: exercises the binned index + rerank path and
-# the recall/bytes floors in seconds (the throughput floor is disabled
-# at smoke scale); hooked into scripts/check_suite.sh so a broken
-# quantized scan fails `make check`.
-quant-bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli quant-bench --preset smoke
-
-# Learned-embedding kNN serving vs raw-RSSI kNN on the same noisy
-# radio map: the embed-knn backend serves held-out queries through the
-# composed feature-space pipeline (MLP encoder -> quantized index),
-# asserting the req/s floor at matched location-recall@k and the
-# position-error ceiling (the serve-bench embed block, standalone).
-embed-bench:
-	PYTHONPATH=src $(PYTHON) -m repro.cli embed-bench
-
-# Tiny-map embed-bench: exercises the embedder fit + embedded scan
-# path in seconds (accuracy/throughput floors are disabled at smoke
-# scale); hooked into scripts/check_suite.sh so a broken embedding
-# pipeline fails `make check`.
-embed-bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli embed-bench --preset smoke
-
-# Fault-injection storm against the self-protecting serving tier:
-# seeded worker kills, SIGSTOP heartbeat stalls, shm-slot and
-# store-artifact corruption against fair-shed admission + the
-# circuit-broken thread fallback, asserting availability >= the
-# preset floor, zero hung requests, and parity on every answered
-# request (the serve-bench resilience block, standalone).
-chaos-bench:
-	PYTHONPATH=src $(PYTHON) -m repro.cli chaos-bench
-
-# Seconds-scale chaos storm; hooked into scripts/check_suite.sh so a
-# resilience regression (lost request, dirty failure, parity break)
-# fails `make check`.
-chaos-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli chaos-bench --preset smoke
-
-# Streaming trajectory serving: concurrent per-user TrackingSessions
-# micro-batched across users per time step, asserting bitwise parity
-# of every served tick against the offline single-session oracle
-# (RMSE delta exactly 0.0 m), zero lost tracks across the
-# checkpoint/restart leg, and the preset's concurrent-ticks/sec floor
-# (the serve-bench sessions block, standalone).
-track-bench:
-	PYTHONPATH=src $(PYTHON) -m repro.cli track-bench
-
-# Seconds-scale session workload; hooked into scripts/check_suite.sh
-# so a session-parity or restart-recovery regression fails `make check`.
-track-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli track-bench --preset smoke
 
 # Times NObLe/CNNLoc cold fits (seed-equivalent float64 reference vs the
 # fused float32 fast path), asserts metric parity + minimum speedup, and

@@ -29,9 +29,10 @@ faults and still demonstrates fair shedding + the breaker surface.
 
 Run:  python examples/chaos_serve.py
 
-The chaos benchmark runs a bigger, floor-asserted storm from the CLI::
+The serving benchmark runs a bigger, floor-asserted storm as its
+resilience block (``make serve-bench`` for the committed scale)::
 
-    python -m repro.cli chaos-bench --preset smoke
+    make serve-bench-smoke
 """
 
 import tempfile

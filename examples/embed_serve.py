@@ -21,9 +21,10 @@ embed stage, then a uint8 quantized index over the embedded points::
 Run:  python examples/embed_serve.py
 
 The throughput/accuracy claim behind this flow is pinned by the
-benchmark (committed as the ``embed`` block of ``BENCH_serve.json``)::
+serving benchmark (committed as the ``embed`` block of
+``BENCH_serve.json``; ``make serve-bench-smoke`` runs it at smoke scale)::
 
-    make embed-bench
+    make serve-bench
 """
 
 import tempfile

@@ -29,7 +29,7 @@ Run:  python examples/multiprocess_serve.py
 
 The serve benchmark sweeps the same tier from the command line::
 
-    python -m repro.cli serve-bench --async --workers 0,2,4
+    python -m repro.cli serve-bench --workers 0,2,4
 """
 
 import tempfile

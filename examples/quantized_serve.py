@@ -20,9 +20,10 @@ quantized and raw configurations never alias each other in the
 Run:  python examples/quantized_serve.py
 
 The throughput/recall/bytes claim behind this flow is pinned by the
-benchmark (committed as the ``quant`` block of ``BENCH_serve.json``)::
+serving benchmark (committed as the ``quant`` block of
+``BENCH_serve.json``; ``make serve-bench-smoke`` runs it at smoke scale)::
 
-    make quant-bench
+    make serve-bench
 """
 
 import tempfile

@@ -19,7 +19,8 @@ track.
 Run:  python examples/tracked_serve.py
 
 The benchmarked version of this flow (throughput + parity + recovery
-floors) is ``python -m repro.cli track-bench``.
+floors) is the ``sessions`` block of ``make serve-bench`` (``make
+serve-bench-smoke`` at smoke scale).
 """
 
 import tempfile

@@ -5,10 +5,10 @@ The repo commits its performance trajectory (``BENCH_train.json``,
 ``BENCH_serve.json``) so regressions are visible in review.  That only
 works if the artifacts stay well-formed and honest — a hand-edited,
 truncated, or stale file must fail the build, not rot silently.  This
-script re-runs each committed payload through
-:func:`repro.bench.validate_bench_payload` (schema tag, required blocks,
-per-leg fields, headline floors) and additionally requires the
-headline-floor fields that review relies on to be present and satisfied.
+script loads each committed payload and runs it through
+:func:`repro.bench.validate_bench_payload`, the single bench-artifact
+checker (schema tag, required blocks, per-leg fields, and every
+headline floor the artifact records).
 
 Run via ``make check-bench-artifacts`` (part of ``make check`` /
 ``make ci`` and the CI workflow).  Exit status 0 = all artifacts valid.
@@ -23,18 +23,11 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
-#: Committed artifacts and the headline fields each must carry.
-ARTIFACTS = {
-    "BENCH_train.json": ("noble_cold_fit_speedup", "min_speedup_asserted"),
-    "BENCH_serve.json": (
-        "deadline_ms",
-        "async_speedup",
-        "min_speedup_asserted",
-    ),
-}
+#: Committed trajectory artifacts, relative to the repo root.
+ARTIFACTS = ("BENCH_train.json", "BENCH_serve.json")
 
 
-def check_artifact(name: str, headline_fields: "tuple[str, ...]") -> "list[str]":
+def check_artifact(name: str) -> "list[str]":
     from repro.bench import validate_bench_payload
 
     path = os.path.join(REPO, name)
@@ -45,336 +38,15 @@ def check_artifact(name: str, headline_fields: "tuple[str, ...]") -> "list[str]"
             payload = json.load(handle)
     except (OSError, json.JSONDecodeError) as error:
         return [f"{name}: unreadable JSON: {error}"]
-    problems: list[str] = []
     try:
         validate_bench_payload(payload)
     except ValueError as error:
-        problems.append(f"{name}: {error}")
-    headline = payload.get("headline")
-    if not isinstance(headline, dict):
-        problems.append(f"{name}: headline block missing")
-        return problems
-    for field in headline_fields:
-        if field not in headline:
-            problems.append(f"{name}: headline missing {field!r}")
-    # the headline claim itself must clear its asserted floor — a stale
-    # artifact pasted over a regression would fail here
-    speedup = headline.get(
-        "noble_cold_fit_speedup", headline.get("async_speedup")
-    )
-    floor = headline.get("min_speedup_asserted")
-    if (
-        isinstance(speedup, (int, float))
-        and isinstance(floor, (int, float))
-        and floor > 0
-        and speedup < floor
-    ):
-        problems.append(
-            f"{name}: headline speedup {speedup} is below its own asserted "
-            f"floor {floor}"
-        )
-    problems.extend(check_workers_headline(name, payload))
-    problems.extend(check_quant_headline(name, payload))
-    problems.extend(check_embed_headline(name, payload))
-    problems.extend(check_resilience_headline(name, payload))
-    problems.extend(check_sessions_headline(name, payload))
-    return problems
-
-
-def check_workers_headline(name: str, payload: dict) -> "list[str]":
-    """Multi-process headline floor for serve artifacts (schema v3).
-
-    The workers block records whether its ≥2x floor was actually
-    enforceable on the machine that produced the artifact (≥2 cores,
-    working shared memory, a ≥2-worker leg); when it was, the recorded
-    speedup must clear the recorded floor — the same stale-artifact
-    guard as the async headline above.
-    """
-    workers = payload.get("workers")
-    if workers is None:
-        return []  # not a serve artifact (train payloads have no block)
-    problems: list[str] = []
-    headline = workers.get("headline") if isinstance(workers, dict) else None
-    if not isinstance(headline, dict):
-        return [f"{name}: workers.headline block missing"]
-    for field in ("speedup_vs_threads", "min_speedup_asserted", "floor_enforced"):
-        if field not in headline:
-            problems.append(f"{name}: workers.headline missing {field!r}")
-    if headline.get("floor_enforced") is True:
-        speedup = headline.get("speedup_vs_threads")
-        floor = headline.get("min_speedup_asserted")
-        if not isinstance(speedup, (int, float)):
-            problems.append(
-                f"{name}: workers floor is enforced but speedup_vs_threads "
-                f"is {speedup!r}"
-            )
-        elif isinstance(floor, (int, float)) and speedup < floor:
-            problems.append(
-                f"{name}: workers headline speedup {speedup} is below its "
-                f"own asserted floor {floor}"
-            )
-    return problems
-
-
-def check_quant_headline(name: str, payload: dict) -> "list[str]":
-    """Quantized-scan headline floors for serve artifacts (schema v4).
-
-    The quant block records a req/s speedup over the monolithic float32
-    scan (enforced when ``floor_enforced``), a top-k recall floor, and
-    a bytes-per-fingerprint ceiling; each recorded value must clear its
-    own recorded floor — the same stale-artifact guard as above.
-    """
-    quant = payload.get("quant")
-    if quant is None:
-        return []  # not a serve artifact (train payloads have no block)
-    problems: list[str] = []
-    headline = quant.get("headline") if isinstance(quant, dict) else None
-    if not isinstance(headline, dict):
-        return [f"{name}: quant.headline block missing"]
-    for field in (
-        "speedup_vs_float32",
-        "min_speedup_asserted",
-        "recall_at_k",
-        "min_recall_asserted",
-        "bytes_ratio",
-        "max_bytes_ratio_asserted",
-        "floor_enforced",
-    ):
-        if field not in headline:
-            problems.append(f"{name}: quant.headline missing {field!r}")
-    if headline.get("floor_enforced") is True:
-        speedup = headline.get("speedup_vs_float32")
-        floor = headline.get("min_speedup_asserted")
-        if not isinstance(speedup, (int, float)):
-            problems.append(
-                f"{name}: quant floor is enforced but speedup_vs_float32 "
-                f"is {speedup!r}"
-            )
-        elif isinstance(floor, (int, float)) and speedup < floor:
-            problems.append(
-                f"{name}: quant headline speedup {speedup} is below its "
-                f"own asserted floor {floor}"
-            )
-    recall = headline.get("recall_at_k")
-    recall_floor = headline.get("min_recall_asserted")
-    if (
-        isinstance(recall, (int, float))
-        and isinstance(recall_floor, (int, float))
-        and recall_floor > 0
-        and recall < recall_floor
-    ):
-        problems.append(
-            f"{name}: quant headline recall {recall} is below its own "
-            f"asserted floor {recall_floor}"
-        )
-    ratio = headline.get("bytes_ratio")
-    ceiling = headline.get("max_bytes_ratio_asserted")
-    if (
-        isinstance(ratio, (int, float))
-        and isinstance(ceiling, (int, float))
-        and ceiling > 0
-        and ratio > ceiling
-    ):
-        problems.append(
-            f"{name}: quant headline bytes ratio {ratio} is above its own "
-            f"asserted ceiling {ceiling}"
-        )
-    return problems
-
-
-def check_embed_headline(name: str, payload: dict) -> "list[str]":
-    """Learned-embedding headline floors for serve artifacts (schema v7).
-
-    The embed block records the ``embed-knn`` backend's req/s speedup
-    over raw-RSSI kNN on the same held-out queries (enforced when
-    ``floor_enforced``), a position-error ceiling relative to raw, and
-    a location-recall floor so the speedup is at matched neighbor
-    quality; each recorded value must clear its own recorded floor —
-    the same stale-artifact guard as above.
-    """
-    embed = payload.get("embed")
-    if embed is None:
-        return []  # not a serve artifact (train payloads have no block)
-    problems: list[str] = []
-    headline = embed.get("headline") if isinstance(embed, dict) else None
-    if not isinstance(headline, dict):
-        return [f"{name}: embed.headline block missing"]
-    for field in (
-        "speedup_vs_raw",
-        "min_speedup_asserted",
-        "error_ratio_vs_raw",
-        "max_error_ratio_asserted",
-        "recall_ratio_vs_raw",
-        "min_recall_ratio_asserted",
-        "floor_enforced",
-    ):
-        if field not in headline:
-            problems.append(f"{name}: embed.headline missing {field!r}")
-    if headline.get("floor_enforced") is True:
-        speedup = headline.get("speedup_vs_raw")
-        floor = headline.get("min_speedup_asserted")
-        if not isinstance(speedup, (int, float)):
-            problems.append(
-                f"{name}: embed floor is enforced but speedup_vs_raw "
-                f"is {speedup!r}"
-            )
-        elif isinstance(floor, (int, float)) and speedup < floor:
-            problems.append(
-                f"{name}: embed headline speedup {speedup} is below its "
-                f"own asserted floor {floor}"
-            )
-    error_ratio = headline.get("error_ratio_vs_raw")
-    error_ceiling = headline.get("max_error_ratio_asserted")
-    if (
-        isinstance(error_ratio, (int, float))
-        and isinstance(error_ceiling, (int, float))
-        and error_ceiling > 0
-        and error_ratio > error_ceiling
-    ):
-        problems.append(
-            f"{name}: embed headline error ratio {error_ratio} is above "
-            f"its own asserted ceiling {error_ceiling}"
-        )
-    recall_ratio = headline.get("recall_ratio_vs_raw")
-    recall_floor = headline.get("min_recall_ratio_asserted")
-    if (
-        isinstance(recall_ratio, (int, float))
-        and isinstance(recall_floor, (int, float))
-        and recall_floor > 0
-        and recall_ratio < recall_floor
-    ):
-        problems.append(
-            f"{name}: embed headline recall ratio {recall_ratio} is below "
-            f"its own asserted floor {recall_floor}"
-        )
-    return problems
-
-
-def check_resilience_headline(name: str, payload: dict) -> "list[str]":
-    """Chaos-harness headline floors for serve artifacts (schema v5).
-
-    The resilience block records availability under a seeded fault
-    storm plus the hard outcome invariants: no hung ticket, no dirty
-    failure, and prediction parity on every answered request.  A
-    committed artifact that violates its own recorded floor — or that
-    records a lost or wrong answer at all — fails the build.
-    """
-    resilience = payload.get("resilience")
-    if resilience is None:
-        return []  # not a serve artifact (train payloads have no block)
-    problems: list[str] = []
-    headline = (
-        resilience.get("headline") if isinstance(resilience, dict) else None
-    )
-    if not isinstance(headline, dict):
-        return [f"{name}: resilience.headline block missing"]
-    for field in (
-        "availability",
-        "min_availability_asserted",
-        "hung",
-        "failed",
-        "parity_ok",
-        "fairness_ok",
-        "floor_enforced",
-    ):
-        if field not in headline:
-            problems.append(f"{name}: resilience.headline missing {field!r}")
-    if headline.get("hung") != 0:
-        problems.append(
-            f"{name}: resilience headline records {headline.get('hung')} "
-            "hung requests (must be 0)"
-        )
-    if headline.get("failed") != 0:
-        problems.append(
-            f"{name}: resilience headline records {headline.get('failed')} "
-            "dirty request failures (must be 0)"
-        )
-    if headline.get("parity_ok") is not True:
-        problems.append(
-            f"{name}: resilience headline parity_ok is not True"
-        )
-    if headline.get("floor_enforced") is True:
-        availability = headline.get("availability")
-        floor = headline.get("min_availability_asserted")
-        if not isinstance(availability, (int, float)):
-            problems.append(
-                f"{name}: resilience floor is enforced but availability "
-                f"is {availability!r}"
-            )
-        elif isinstance(floor, (int, float)) and availability < floor:
-            problems.append(
-                f"{name}: resilience headline availability {availability} "
-                f"is below its own asserted floor {floor}"
-            )
-    return problems
-
-
-def check_sessions_headline(name: str, payload: dict) -> "list[str]":
-    """Streaming-session headline floors for serve artifacts (schema v6).
-
-    The sessions block records concurrent tracks/sec through stateful
-    per-user TrackingSessions plus the hard stateful-serving
-    invariants: bitwise trajectory parity with the offline
-    single-session oracle (RMSE delta exactly 0.0 m) and zero lost
-    tracks across the checkpoint/restart leg.  A committed artifact
-    recording a diverged or dropped track — or missing its own
-    recorded throughput floor — fails the build.
-    """
-    sessions = payload.get("sessions")
-    if sessions is None:
-        return []  # not a serve artifact (train payloads have no block)
-    problems: list[str] = []
-    headline = sessions.get("headline") if isinstance(sessions, dict) else None
-    if not isinstance(headline, dict):
-        return [f"{name}: sessions.headline block missing"]
-    for field in (
-        "tracks_per_second",
-        "concurrent_sessions",
-        "min_tracks_per_second_asserted",
-        "rmse_delta_m",
-        "lost_tracks",
-        "parity_ok",
-        "floor_enforced",
-    ):
-        if field not in headline:
-            problems.append(f"{name}: sessions.headline missing {field!r}")
-    if headline.get("parity_ok") is not True:
-        problems.append(f"{name}: sessions headline parity_ok is not True")
-    rmse_delta = headline.get("rmse_delta_m")
-    if not (
-        isinstance(rmse_delta, (int, float))
-        and not isinstance(rmse_delta, bool)
-        and float(rmse_delta) == 0.0
-    ):
-        problems.append(
-            f"{name}: sessions headline rmse_delta_m is {rmse_delta!r} "
-            "(must be exactly 0.0 — session parity is bitwise)"
-        )
-    if headline.get("lost_tracks") != 0:
-        problems.append(
-            f"{name}: sessions headline records "
-            f"{headline.get('lost_tracks')} lost tracks (must be 0)"
-        )
-    if headline.get("floor_enforced") is True:
-        rate = headline.get("tracks_per_second")
-        floor = headline.get("min_tracks_per_second_asserted")
-        if not isinstance(rate, (int, float)):
-            problems.append(
-                f"{name}: sessions floor is enforced but tracks_per_second "
-                f"is {rate!r}"
-            )
-        elif isinstance(floor, (int, float)) and rate < floor:
-            problems.append(
-                f"{name}: sessions headline tracks_per_second {rate} is "
-                f"below its own asserted floor {floor}"
-            )
-    return problems
+        return [f"{name}: {error}"]
+    return []
 
 
 def main() -> int:
-    failures: list[str] = []
-    for name, headline_fields in ARTIFACTS.items():
-        failures.extend(check_artifact(name, headline_fields))
+    failures = [problem for name in ARTIFACTS for problem in check_artifact(name)]
     if failures:
         for failure in failures:
             print(f"bench-artifact check FAILED: {failure}", file=sys.stderr)

@@ -45,38 +45,13 @@ fi
 # regression fails `make check` instead of rotting silently.
 make bench-smoke
 
-# Smoke the async serving benchmark the same way: a tiny deadline sweep
-# through the ServingFrontend plus the model-store restart leg,
-# schema-validating BENCH_serve.json, so a broken front end, store, or
+# Smoke the serving benchmark the same way: every serve-bench block
+# (deadline sweep, shard workers, quantized scan, learned embedding,
+# chaos storm, streaming sessions, model-store restart leg) at smoke
+# scale, schema-validating BENCH_serve.json, so a broken block or
 # payload drift fails `make check` too.
 make serve-bench-smoke
 
-# Smoke the quantized-scan benchmark: a tiny binned map through the
-# uint8 scan + exact-rerank path, asserting the recall and
-# bytes-per-fingerprint floors (throughput floor is disabled at smoke
-# scale), so a broken quantizer or rerank fails `make check`.
-make quant-bench-smoke
-
-# Smoke the learned-embedding benchmark: fits the MLP embedder on a
-# tiny noisy map and serves held-out queries through both the raw and
-# embedded kNN backends (floors are disabled at smoke scale), so a
-# broken embedder or feature-pipeline regression fails `make check`.
-make embed-bench-smoke
-
-# Smoke the chaos harness: a seeded fault storm (worker kills,
-# heartbeat stalls, shm-slot and store-artifact corruption) against
-# the fair-shed + circuit-broken front end, asserting availability,
-# zero hung requests, and answered-request parity — so a resilience
-# regression fails `make check` instead of surfacing in production.
-make chaos-smoke
-
-# Smoke the streaming-session harness: concurrent tracking sessions
-# micro-batched across users behind the threaded front end, asserting
-# bitwise parity with the offline single-session oracle and a
-# zero-lost-tracks checkpoint/restart recovery — so a stateful-serving
-# regression fails `make check` before it can corrupt a trajectory.
-make track-smoke
-
-# Bench-drift guard: the committed trajectory artifacts must stay
-# schema-valid with their headline floors intact.
+# Bench-drift guard: the committed trajectory artifacts must pass
+# repro.bench.validate_bench_payload, headline floors included.
 make check-bench-artifacts

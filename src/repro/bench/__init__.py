@@ -10,8 +10,7 @@ train-bench`` or ``make train-bench``.
 end (:class:`repro.serving.ServingFrontend`) with concurrent producers,
 sweeps flush deadline vs throughput against a naive per-query baseline,
 asserts prediction parity on every leg, and emits
-``BENCH_serve.json``.  Run it via ``python -m repro.cli serve-bench
---async``.
+``BENCH_serve.json``.  Run it via ``python -m repro.cli serve-bench``.
 
 Both artifacts are schema-tagged; :func:`validate_bench_payload`
 dispatches on the tag, and ``make bench-smoke`` / ``make
@@ -45,9 +44,12 @@ def validate_bench_payload(payload: dict) -> None:
     artifact fails as a schema mismatch rather than being half-read);
     everything else (including the historical ``repro-train-bench/1``)
     goes to the train-bench validator, which reports an unknown tag as
-    a schema mismatch.  Raises ``ValueError`` on problems.
+    a schema mismatch.  Raises ``ValueError`` on problems, including a
+    payload that is not a dict.
     """
-    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if not isinstance(payload, dict):
+        raise ValueError("invalid bench payload: must be a JSON object")
+    schema = payload.get("schema")
     if isinstance(schema, str) and schema.startswith(SERVE_BENCH_SCHEMA_PREFIX):
         return validate_serve_bench_payload(payload)
     return validate_train_bench_payload(payload)

@@ -19,9 +19,9 @@ the synchronous oracle and a req/s-vs-workers headline whose ≥2x floor
 is enforced whenever the machine has ≥2 cores and working shared
 memory.
 
-Run it via ``python -m repro.cli serve-bench --async`` or ``make
-serve-bench-async``; ``make serve-bench-smoke`` exercises a tiny
-workload and schema-validates the artifact as part of ``make check``.
+Run it via ``python -m repro.cli serve-bench`` or ``make serve-bench``;
+``make serve-bench-smoke`` exercises a tiny workload and
+schema-validates the artifact as part of ``make check``.
 """
 
 from __future__ import annotations
@@ -385,7 +385,7 @@ class ServeBenchResult:
     def report(self) -> str:
         w = self.workload
         lines = [
-            f"serve-bench[async] preset={self.preset} seed={self.seed} "
+            f"serve-bench preset={self.preset} seed={self.seed} "
             f"({w['n_train']} fingerprints x {w['n_aps']} WAPs, "
             f"{w['n_queries']} queries, model={w['model']!r}, "
             f"batch={w['batch_size']}, {w['producers']} producers)",
@@ -1976,32 +1976,109 @@ def run_serve_bench(
 def validate_serve_bench_payload(payload: dict) -> None:
     """Validate a ``BENCH_serve.json`` dictionary; raises ``ValueError``.
 
-    Guards the persistent trajectory's shape: schema tag, workload and
-    naive-baseline blocks, at least one async leg with complete fields,
-    a headline block, the mandatory ``workers`` block (thread-baseline
-    leg first, per-leg parity true, floor satisfied whenever
-    ``floor_enforced``), the mandatory ``quant`` block (speedup floor
-    whenever ``floor_enforced``, recall and bytes-ratio floors whenever
-    positive), the mandatory ``embed`` block (speedup floor whenever
-    ``floor_enforced``, error-ratio ceiling and recall-ratio floor
-    whenever positive), the mandatory ``sessions`` block (RMSE delta vs the
-    offline oracle exactly 0.0 m, zero lost tracks, ticks/sec floor
+    Guards the persistent trajectory's shape and its recorded claims:
+    schema tag, workload and naive-baseline blocks, at least one async
+    leg with complete fields and parity, a headline block whose
+    ``async_speedup`` clears a positive ``min_speedup_asserted``, the
+    mandatory ``workers`` block (thread-baseline leg first, per-leg
+    parity, floor satisfied whenever ``floor_enforced``), the mandatory
+    ``quant`` block (speedup floor whenever ``floor_enforced``, recall
+    floor and bytes-ratio ceiling whenever positive), the mandatory
+    ``embed`` block (speedup floor whenever ``floor_enforced``,
+    error-ratio ceiling and recall-ratio floor whenever positive), the
+    mandatory ``resilience`` block (no hung or dirty-failed requests,
+    answered-request parity, availability floor whenever
+    ``floor_enforced``), the mandatory ``sessions`` block (RMSE delta vs
+    the offline oracle exactly 0.0 m, zero lost tracks, ticks/sec floor
     whenever ``floor_enforced``), and — when present — the ``store``
-    restart leg
-    (complete fields, parity true, a positive asserted floor satisfied)
-    — so ``make serve-bench-smoke`` (and through it ``make check`` /
-    CI's bench-artifact guard) fails loudly when the emitted artifact
-    drifts or a committed trajectory is hand-edited.
+    restart leg (complete fields, parity, a positive asserted floor
+    satisfied) — so ``make serve-bench-smoke`` and ``make
+    check-bench-artifacts`` fail loudly when the emitted artifact drifts
+    or a committed trajectory is hand-edited.  Problems are reported by
+    dotted field path; numbers and ints reject bools.
     """
+    problems: "list[str]" = []
+    kinds = {int: "an int", float: "a number", str: "a string", bool: "a bool"}
 
     def _is(value, kind) -> bool:
-        if kind is float:
-            return isinstance(value, (int, float)) and not isinstance(value, bool)
-        if kind is int:
-            return isinstance(value, int) and not isinstance(value, bool)
-        return isinstance(value, kind)
+        if kind in (int, float) and isinstance(value, bool):
+            return False
+        return isinstance(value, (int, float) if kind is float else kind)
 
-    problems: "list[str]" = []
+    def child(parent: dict, path: str) -> "dict | None":
+        """The dict at dotted ``path``'s last key in ``parent``, if any."""
+        value = parent.get(path.rsplit(".", 1)[-1])
+        if isinstance(value, dict):
+            return value
+        problems.append(f"{path} must be a dict")
+        return None
+
+    def typed(block: dict, path: str, kind, *keys: str) -> None:
+        for key in keys:
+            if not _is(block.get(key), kind):
+                problems.append(f"{path}.{key} must be {kinds[kind]}")
+
+    def require(block: dict, path: str, *keys: str) -> None:
+        for key in keys:
+            if key not in block:
+                problems.append(f"{path} missing {key!r}")
+
+    def is_true(block: dict, path: str, key: str, why: str = "") -> None:
+        if block.get(key) is not True:
+            problems.append(f"{path}.{key} is not True{why}")
+
+    def is_zero(block: dict, path: str, key: str, why: str) -> None:
+        if block.get(key) != 0:
+            problems.append(f"{path}.{key} is {block.get(key)!r}, must be 0 {why}")
+
+    def bound(head: dict, path: str, key: str, limit_key: str,
+              ceiling: bool = False, enforced: bool = False) -> None:
+        """``head[key]`` against its recorded limit ``head[limit_key]``.
+
+        ``enforced`` limits apply when the block's ``floor_enforced`` is
+        True, the others whenever the limit is positive.  An applied
+        limit needs a numeric value; a recorded value is always numeric.
+        """
+        typed(head, path, float, limit_key)
+        value, limit = head.get(key), head.get(limit_key)
+        if enforced:
+            applies = head.get("floor_enforced") is True
+        else:
+            applies = _is(limit, float) and limit > 0
+        if value is None and not applies:
+            return
+        if not _is(value, float):
+            problems.append(f"{path}.{key} must be a number")
+        elif applies and _is(limit, float) and (
+            value > limit if ceiling else value < limit
+        ):
+            side = "above the asserted ceiling" if ceiling else "below the asserted floor"
+            problems.append(
+                f"{path}.{key} {value} is {side} {limit} "
+                "(stale or hand-edited artifact?)"
+            )
+
+    def headline(block: dict, path: str, *keys: str) -> "dict | None":
+        head = child(block, f"{path}.headline")
+        if head is not None:
+            path = f"{path}.headline"
+            require(head, path, *keys, "floor_enforced")
+            typed(head, path, bool, "floor_enforced")
+        return head
+
+    def legs(items, path: str, fields: "dict[str, type]") -> list:
+        if not isinstance(items, list) or not items:
+            problems.append(f"{path} must be a non-empty list")
+            return []
+        for i, leg in enumerate(items):
+            if not isinstance(leg, dict):
+                problems.append(f"{path}[{i}] must be a dict")
+                continue
+            for key, kind in fields.items():
+                typed(leg, f"{path}[{i}]", kind, key)
+            is_true(leg, f"{path}[{i}]", "parity_ok")
+        return items
+
     if payload.get("schema") != SERVE_BENCH_SCHEMA:
         problems.append(
             f"schema must be {SERVE_BENCH_SCHEMA!r}, got {payload.get('schema')!r}"
@@ -2012,462 +2089,161 @@ def validate_serve_bench_payload(payload: dict) -> None:
     ):
         if key not in payload:
             problems.append(f"missing top-level key {key!r}")
-    workload = payload.get("workload", {})
-    for key in ("n_train", "n_queries", "n_aps", "batch_size", "producers"):
-        if not isinstance(workload.get(key), int):
-            problems.append(f"workload.{key} must be an int")
-    if not isinstance(workload.get("model"), str):
-        problems.append("workload.model must be a string")
-    naive = payload.get("naive", {})
-    for key in ("seconds", "requests_per_second"):
-        if not _is(naive.get(key), float):
-            problems.append(f"naive.{key} must be a number")
-    legs = payload.get("async", [])
-    if not isinstance(legs, list) or not legs:
-        problems.append("async must be a non-empty list of deadline legs")
-    else:
-        for i, leg in enumerate(legs):
-            for field_name, field_type in _LEG_FIELDS.items():
-                if not _is(leg.get(field_name), field_type):
-                    problems.append(
-                        f"async[{i}].{field_name} must be "
-                        f"{field_type.__name__}"
-                    )
-            if leg.get("parity_ok") is False:
-                problems.append(f"async[{i}].parity_ok is False")
-    headline = payload.get("headline", {})
-    for key in ("deadline_ms", "async_speedup", "min_speedup_asserted"):
-        if key not in headline:
-            problems.append(f"headline missing {key!r}")
-    workers = payload.get("workers")
-    if not isinstance(workers, dict):
-        problems.append("workers must be a dict")
-    else:
-        if not isinstance(workers.get("model"), str):
-            problems.append("workers.model must be a string")
-        for key in ("shards", "cpu_count"):
-            if not _is(workers.get(key), int):
-                problems.append(f"workers.{key} must be an int")
-        if not isinstance(workers.get("shm_available"), bool):
-            problems.append("workers.shm_available must be a bool")
-        if not _is(workers.get("deadline_ms"), float):
-            problems.append("workers.deadline_ms must be a number")
-        wlegs = workers.get("legs", [])
-        if not isinstance(wlegs, list) or not wlegs:
-            problems.append("workers.legs must be a non-empty list")
-        else:
-            if wlegs[0].get("workers") != 0:
-                problems.append(
-                    "workers.legs[0] must be the thread baseline (workers=0)"
-                )
-            for i, leg in enumerate(wlegs):
-                for field_name, field_type in (
-                    ("workers", int),
-                    ("seconds", float),
-                    ("requests_per_second", float),
-                    ("n_batches", int),
-                    ("mean_batch_fill", float),
-                    ("n_timeouts", int),
-                    ("mean_latency_ms", float),
-                    ("p95_latency_ms", float),
-                    ("respawns", int),
-                ):
-                    if not _is(leg.get(field_name), field_type):
-                        problems.append(
-                            f"workers.legs[{i}].{field_name} must be "
-                            f"{field_type.__name__}"
-                        )
-                if leg.get("parity_ok") is not True:
-                    problems.append(f"workers.legs[{i}].parity_ok is not True")
-        whead = workers.get("headline")
-        if not isinstance(whead, dict):
-            problems.append("workers.headline must be a dict")
-        else:
-            for key in (
-                "workers",
-                "speedup_vs_threads",
-                "min_speedup_asserted",
-                "floor_enforced",
-            ):
-                if key not in whead:
-                    problems.append(f"workers.headline missing {key!r}")
-            if not isinstance(whead.get("floor_enforced"), bool):
-                problems.append("workers.headline.floor_enforced must be bool")
-            floor = whead.get("min_speedup_asserted")
-            speedup = whead.get("speedup_vs_threads")
-            if whead.get("floor_enforced") is True:
-                if not _is(speedup, float):
-                    problems.append(
-                        "workers.headline.speedup_vs_threads must be a "
-                        "number when the floor is enforced"
-                    )
-                elif _is(floor, float) and speedup < floor:
-                    problems.append(
-                        f"workers.headline.speedup_vs_threads {speedup} is "
-                        f"below the asserted floor {floor} "
-                        "(stale or hand-edited artifact?)"
-                    )
-    quant = payload.get("quant")
-    if not isinstance(quant, dict):
-        problems.append("quant must be a dict")
-    else:
-        for key in ("n_points", "n_aps", "n_queries", "k", "n_bins", "refine"):
-            if not _is(quant.get(key), int):
-                problems.append(f"quant.{key} must be an int")
+
+    workload = child(payload, "workload")
+    if workload is not None:
+        typed(workload, "workload", int,
+              "n_train", "n_queries", "n_aps", "batch_size", "producers")
+        typed(workload, "workload", str, "model")
+    naive = child(payload, "naive")
+    if naive is not None:
+        typed(naive, "naive", float, "seconds", "requests_per_second")
+    legs(payload.get("async"), "async", _LEG_FIELDS)
+    head = child(payload, "headline")
+    if head is not None:
+        require(head, "headline",
+                "deadline_ms", "async_speedup", "min_speedup_asserted")
+        bound(head, "headline", "async_speedup", "min_speedup_asserted")
+
+    workers = child(payload, "workers")
+    if workers is not None:
+        typed(workers, "workers", str, "model")
+        typed(workers, "workers", int, "shards", "cpu_count")
+        typed(workers, "workers", bool, "shm_available")
+        typed(workers, "workers", float, "deadline_ms")
+        wlegs = legs(workers.get("legs"), "workers.legs", {
+            "workers": int, "seconds": float, "requests_per_second": float,
+            "n_batches": int, "mean_batch_fill": float, "n_timeouts": int,
+            "mean_latency_ms": float, "p95_latency_ms": float, "respawns": int,
+        })
+        if wlegs and (not isinstance(wlegs[0], dict) or wlegs[0].get("workers") != 0):
+            problems.append(
+                "workers.legs[0] must be the thread baseline (workers=0)"
+            )
+        whead = headline(workers, "workers",
+                         "workers", "speedup_vs_threads", "min_speedup_asserted")
+        if whead is not None:
+            bound(whead, "workers.headline", "speedup_vs_threads",
+                  "min_speedup_asserted", enforced=True)
+
+    quant = child(payload, "quant")
+    if quant is not None:
+        typed(quant, "quant", int,
+              "n_points", "n_aps", "n_queries", "k", "n_bins", "refine")
         for side in ("baseline", "quant"):
-            leg = quant.get(side)
-            if not isinstance(leg, dict):
-                problems.append(f"quant.{side} must be a dict")
-                continue
-            for key in (
-                "seconds", "requests_per_second", "bytes_per_fingerprint"
-            ):
-                if not _is(leg.get(key), float):
-                    problems.append(f"quant.{side}.{key} must be a number")
-        for key in (
-            "recall_at_k", "oracle_error_m", "quant_error_m", "error_delta_m"
-        ):
-            if not _is(quant.get(key), float):
-                problems.append(f"quant.{key} must be a number")
-        qhead = quant.get("headline")
-        if not isinstance(qhead, dict):
-            problems.append("quant.headline must be a dict")
-        else:
-            for key in (
-                "speedup_vs_float32",
-                "min_speedup_asserted",
-                "recall_at_k",
-                "min_recall_asserted",
-                "bytes_ratio",
-                "max_bytes_ratio_asserted",
-                "floor_enforced",
-            ):
-                if key not in qhead:
-                    problems.append(f"quant.headline missing {key!r}")
-            if not isinstance(qhead.get("floor_enforced"), bool):
-                problems.append("quant.headline.floor_enforced must be bool")
-            speedup = qhead.get("speedup_vs_float32")
-            floor = qhead.get("min_speedup_asserted")
-            if qhead.get("floor_enforced") is True:
-                if not _is(speedup, float):
-                    problems.append(
-                        "quant.headline.speedup_vs_float32 must be a "
-                        "number when the floor is enforced"
-                    )
-                elif _is(floor, float) and speedup < floor:
-                    problems.append(
-                        f"quant.headline.speedup_vs_float32 {speedup} is "
-                        f"below the asserted floor {floor} "
-                        "(stale or hand-edited artifact?)"
-                    )
-            recall = qhead.get("recall_at_k")
-            recall_floor = qhead.get("min_recall_asserted")
-            if (
-                _is(recall, float)
-                and _is(recall_floor, float)
-                and recall_floor > 0
-                and recall < recall_floor
-            ):
-                problems.append(
-                    f"quant.headline.recall_at_k {recall} is below the "
-                    f"asserted floor {recall_floor} "
-                    "(stale or hand-edited artifact?)"
-                )
-            ratio = qhead.get("bytes_ratio")
-            ratio_ceiling = qhead.get("max_bytes_ratio_asserted")
-            if (
-                _is(ratio, float)
-                and _is(ratio_ceiling, float)
-                and ratio_ceiling > 0
-                and ratio > ratio_ceiling
-            ):
-                problems.append(
-                    f"quant.headline.bytes_ratio {ratio} is above the "
-                    f"asserted ceiling {ratio_ceiling} "
-                    "(stale or hand-edited artifact?)"
-                )
-    embed = payload.get("embed")
-    if not isinstance(embed, dict):
-        problems.append("embed must be a dict")
-    else:
-        for key in ("n_points", "n_aps", "n_queries", "k", "n_components"):
-            if not _is(embed.get(key), int):
-                problems.append(f"embed.{key} must be an int")
-        if not isinstance(embed.get("embedder"), str):
-            problems.append("embed.embedder must be a string")
+            leg = child(quant, f"quant.{side}")
+            if leg is not None:
+                typed(leg, f"quant.{side}", float,
+                      "seconds", "requests_per_second", "bytes_per_fingerprint")
+        typed(quant, "quant", float,
+              "recall_at_k", "oracle_error_m", "quant_error_m", "error_delta_m")
+        qhead = headline(quant, "quant",
+                         "speedup_vs_float32", "min_speedup_asserted",
+                         "recall_at_k", "min_recall_asserted",
+                         "bytes_ratio", "max_bytes_ratio_asserted")
+        if qhead is not None:
+            path = "quant.headline"
+            bound(qhead, path, "speedup_vs_float32", "min_speedup_asserted",
+                  enforced=True)
+            bound(qhead, path, "recall_at_k", "min_recall_asserted")
+            bound(qhead, path, "bytes_ratio", "max_bytes_ratio_asserted",
+                  ceiling=True)
+
+    embed = child(payload, "embed")
+    if embed is not None:
+        typed(embed, "embed", int,
+              "n_points", "n_aps", "n_queries", "k", "n_components")
+        typed(embed, "embed", str, "embedder")
         for side in ("raw", "embed"):
-            leg = embed.get(side)
-            if not isinstance(leg, dict):
-                problems.append(f"embed.{side} must be a dict")
-                continue
-            for key in (
-                "fit_seconds", "seconds", "requests_per_second",
-                "error_m", "recall_at_k",
-            ):
-                if not _is(leg.get(key), float):
-                    problems.append(f"embed.{side}.{key} must be a number")
-        ehead = embed.get("headline")
-        if not isinstance(ehead, dict):
-            problems.append("embed.headline must be a dict")
-        else:
-            for key in (
-                "speedup_vs_raw",
-                "min_speedup_asserted",
-                "error_ratio_vs_raw",
-                "max_error_ratio_asserted",
-                "recall_ratio_vs_raw",
-                "min_recall_ratio_asserted",
-                "floor_enforced",
-            ):
-                if key not in ehead:
-                    problems.append(f"embed.headline missing {key!r}")
-            if not isinstance(ehead.get("floor_enforced"), bool):
-                problems.append("embed.headline.floor_enforced must be bool")
-            speedup = ehead.get("speedup_vs_raw")
-            floor = ehead.get("min_speedup_asserted")
-            if ehead.get("floor_enforced") is True:
-                if not _is(speedup, float):
-                    problems.append(
-                        "embed.headline.speedup_vs_raw must be a number "
-                        "when the floor is enforced"
-                    )
-                elif _is(floor, float) and speedup < floor:
-                    problems.append(
-                        f"embed.headline.speedup_vs_raw {speedup} is "
-                        f"below the asserted floor {floor} "
-                        "(stale or hand-edited artifact?)"
-                    )
-            error_ratio = ehead.get("error_ratio_vs_raw")
-            error_ceiling = ehead.get("max_error_ratio_asserted")
-            if (
-                _is(error_ratio, float)
-                and _is(error_ceiling, float)
-                and error_ceiling > 0
-                and error_ratio > error_ceiling
-            ):
-                problems.append(
-                    f"embed.headline.error_ratio_vs_raw {error_ratio} is "
-                    f"above the asserted ceiling {error_ceiling} "
-                    "(stale or hand-edited artifact?)"
-                )
-            recall_ratio = ehead.get("recall_ratio_vs_raw")
-            recall_floor = ehead.get("min_recall_ratio_asserted")
-            if (
-                _is(recall_ratio, float)
-                and _is(recall_floor, float)
-                and recall_floor > 0
-                and recall_ratio < recall_floor
-            ):
-                problems.append(
-                    f"embed.headline.recall_ratio_vs_raw {recall_ratio} "
-                    f"is below the asserted floor {recall_floor} "
-                    "(stale or hand-edited artifact?)"
-                )
-    resilience = payload.get("resilience")
-    if not isinstance(resilience, dict):
-        problems.append("resilience must be a dict")
-    else:
-        for key in ("workers", "shards", "queries", "max_pending"):
-            if not _is(resilience.get(key), int):
-                problems.append(f"resilience.{key} must be an int")
-        if not isinstance(resilience.get("shm_available"), bool):
-            problems.append("resilience.shm_available must be a bool")
-        if not _is(resilience.get("availability"), float):
-            problems.append("resilience.availability must be a number")
-        faults = resilience.get("faults")
-        if not isinstance(faults, dict):
-            problems.append("resilience.faults must be a dict")
-        else:
-            for key in (
-                "kills", "stalls", "slot_corruptions", "store_corruptions",
-                "delayed_batches",
-            ):
-                if not _is(faults.get(key), int):
-                    problems.append(f"resilience.faults.{key} must be an int")
-        rout = resilience.get("outcomes")
-        if not isinstance(rout, dict):
-            problems.append("resilience.outcomes must be a dict")
-        else:
-            for key in ("answered", "shed", "failed", "hung"):
-                if not _is(rout.get(key), int):
-                    problems.append(
-                        f"resilience.outcomes.{key} must be an int"
-                    )
-        rhead = resilience.get("headline")
-        if not isinstance(rhead, dict):
-            problems.append("resilience.headline must be a dict")
-        else:
-            for key in (
-                "availability",
-                "min_availability_asserted",
-                "hung",
-                "failed",
-                "parity_ok",
-                "fairness_ok",
-                "floor_enforced",
-            ):
-                if key not in rhead:
-                    problems.append(f"resilience.headline missing {key!r}")
-            if not isinstance(rhead.get("floor_enforced"), bool):
-                problems.append(
-                    "resilience.headline.floor_enforced must be bool"
-                )
-            if rhead.get("parity_ok") is not True:
-                problems.append(
-                    "resilience.headline.parity_ok is not True "
-                    "(answered chaos requests diverged from the oracle)"
-                )
-            if rhead.get("hung") != 0:
-                problems.append(
-                    f"resilience.headline.hung is {rhead.get('hung')}, "
-                    "must be 0 (requests were lost under faults)"
-                )
-            if rhead.get("failed") != 0:
-                problems.append(
-                    f"resilience.headline.failed is {rhead.get('failed')}, "
-                    "must be 0 (requests failed dirty under faults)"
-                )
-            availability = rhead.get("availability")
-            floor = rhead.get("min_availability_asserted")
-            if rhead.get("floor_enforced") is True:
-                if not _is(availability, float):
-                    problems.append(
-                        "resilience.headline.availability must be a number "
-                        "when the floor is enforced"
-                    )
-                elif _is(floor, float) and availability < floor:
-                    problems.append(
-                        f"resilience.headline.availability {availability} "
-                        f"is below the asserted floor {floor} "
-                        "(stale or hand-edited artifact?)"
-                    )
-    sessions = payload.get("sessions")
-    if not isinstance(sessions, dict):
-        problems.append("sessions must be a dict")
-    else:
-        if not isinstance(sessions.get("engine"), str):
-            problems.append("sessions.engine must be a string")
-        for key in (
-            "users", "ticks_per_user", "samples_per_segment",
-            "batch_size", "producers",
-        ):
-            if not _is(sessions.get(key), int):
-                problems.append(f"sessions.{key} must be an int")
-        throughput = sessions.get("throughput")
-        if not isinstance(throughput, dict):
-            problems.append("sessions.throughput must be a dict")
-        else:
-            for key in ("seconds", "tracks_per_second", "mean_batch_fill"):
-                if not _is(throughput.get(key), float):
-                    problems.append(
-                        f"sessions.throughput.{key} must be a number"
-                    )
-            if not _is(throughput.get("n_batches"), int):
-                problems.append(
-                    "sessions.throughput.n_batches must be an int"
-                )
-        parity = sessions.get("parity")
-        if not isinstance(parity, dict):
-            problems.append("sessions.parity must be a dict")
-        else:
-            for key in (
-                "max_abs_delta_m", "rmse_delta_m", "served_rmse_m",
-                "oracle_rmse_m",
-            ):
-                if not _is(parity.get(key), float):
-                    problems.append(f"sessions.parity.{key} must be a number")
-            if parity.get("parity_ok") is not True:
-                problems.append("sessions.parity.parity_ok is not True")
-        recovery = sessions.get("recovery")
-        if not isinstance(recovery, dict):
-            problems.append("sessions.recovery must be a dict")
-        else:
-            for key in ("checkpointed", "restored", "lost_tracks"):
-                if not _is(recovery.get(key), int):
-                    problems.append(f"sessions.recovery.{key} must be an int")
-            if recovery.get("resumed_parity_ok") is not True:
-                problems.append(
-                    "sessions.recovery.resumed_parity_ok is not True"
-                )
-        shead = sessions.get("headline")
-        if not isinstance(shead, dict):
-            problems.append("sessions.headline must be a dict")
-        else:
-            for key in (
-                "tracks_per_second",
-                "concurrent_sessions",
-                "min_tracks_per_second_asserted",
-                "rmse_delta_m",
-                "lost_tracks",
-                "parity_ok",
-                "floor_enforced",
-            ):
-                if key not in shead:
-                    problems.append(f"sessions.headline missing {key!r}")
-            if not isinstance(shead.get("floor_enforced"), bool):
-                problems.append(
-                    "sessions.headline.floor_enforced must be bool"
-                )
-            if shead.get("parity_ok") is not True:
-                problems.append(
-                    "sessions.headline.parity_ok is not True "
-                    "(served trajectories diverged from the offline oracle)"
-                )
+            leg = child(embed, f"embed.{side}")
+            if leg is not None:
+                typed(leg, f"embed.{side}", float, "fit_seconds", "seconds",
+                      "requests_per_second", "error_m", "recall_at_k")
+        ehead = headline(embed, "embed",
+                         "speedup_vs_raw", "min_speedup_asserted",
+                         "error_ratio_vs_raw", "max_error_ratio_asserted",
+                         "recall_ratio_vs_raw", "min_recall_ratio_asserted")
+        if ehead is not None:
+            path = "embed.headline"
+            bound(ehead, path, "speedup_vs_raw", "min_speedup_asserted",
+                  enforced=True)
+            bound(ehead, path, "error_ratio_vs_raw", "max_error_ratio_asserted",
+                  ceiling=True)
+            bound(ehead, path, "recall_ratio_vs_raw", "min_recall_ratio_asserted")
+
+    resilience = child(payload, "resilience")
+    if resilience is not None:
+        typed(resilience, "resilience", int,
+              "workers", "shards", "queries", "max_pending")
+        typed(resilience, "resilience", bool, "shm_available")
+        typed(resilience, "resilience", float, "availability")
+        faults = child(resilience, "resilience.faults")
+        if faults is not None:
+            typed(faults, "resilience.faults", int, "kills", "stalls",
+                  "slot_corruptions", "store_corruptions", "delayed_batches")
+        outcomes = child(resilience, "resilience.outcomes")
+        if outcomes is not None:
+            typed(outcomes, "resilience.outcomes", int,
+                  "answered", "shed", "failed", "hung")
+        rhead = headline(resilience, "resilience",
+                         "availability", "min_availability_asserted",
+                         "hung", "failed", "parity_ok", "fairness_ok")
+        if rhead is not None:
+            path = "resilience.headline"
+            is_true(rhead, path, "parity_ok",
+                    " (answered chaos requests diverged from the oracle)")
+            is_zero(rhead, path, "hung", "(requests were lost under faults)")
+            is_zero(rhead, path, "failed",
+                    "(requests failed dirty under faults)")
+            bound(rhead, path, "availability", "min_availability_asserted",
+                  enforced=True)
+
+    sessions = child(payload, "sessions")
+    if sessions is not None:
+        typed(sessions, "sessions", str, "engine")
+        typed(sessions, "sessions", int, "users", "ticks_per_user",
+              "samples_per_segment", "batch_size", "producers")
+        throughput = child(sessions, "sessions.throughput")
+        if throughput is not None:
+            typed(throughput, "sessions.throughput", float,
+                  "seconds", "tracks_per_second", "mean_batch_fill")
+            typed(throughput, "sessions.throughput", int, "n_batches")
+        parity = child(sessions, "sessions.parity")
+        if parity is not None:
+            typed(parity, "sessions.parity", float, "max_abs_delta_m",
+                  "rmse_delta_m", "served_rmse_m", "oracle_rmse_m")
+            is_true(parity, "sessions.parity", "parity_ok")
+        recovery = child(sessions, "sessions.recovery")
+        if recovery is not None:
+            typed(recovery, "sessions.recovery", int,
+                  "checkpointed", "restored", "lost_tracks")
+            is_true(recovery, "sessions.recovery", "resumed_parity_ok")
+        shead = headline(sessions, "sessions",
+                         "tracks_per_second", "concurrent_sessions",
+                         "min_tracks_per_second_asserted", "rmse_delta_m",
+                         "lost_tracks", "parity_ok")
+        if shead is not None:
+            path = "sessions.headline"
+            is_true(shead, path, "parity_ok",
+                    " (served trajectories diverged from the offline oracle)")
             rmse_delta = shead.get("rmse_delta_m")
             if not (_is(rmse_delta, float) and float(rmse_delta) == 0.0):
                 problems.append(
-                    f"sessions.headline.rmse_delta_m is {rmse_delta!r}, "
-                    "must be exactly 0.0 (session parity is bitwise, "
-                    "not approximate)"
+                    f"{path}.rmse_delta_m is {rmse_delta!r}, must be exactly "
+                    "0.0 (session parity is bitwise, not approximate)"
                 )
-            if shead.get("lost_tracks") != 0:
-                problems.append(
-                    f"sessions.headline.lost_tracks is "
-                    f"{shead.get('lost_tracks')}, must be 0 "
-                    "(sessions were lost across the restart leg)"
-                )
-            rate = shead.get("tracks_per_second")
-            floor = shead.get("min_tracks_per_second_asserted")
-            if shead.get("floor_enforced") is True:
-                if not _is(rate, float):
-                    problems.append(
-                        "sessions.headline.tracks_per_second must be a "
-                        "number when the floor is enforced"
-                    )
-                elif _is(floor, float) and rate < floor:
-                    problems.append(
-                        f"sessions.headline.tracks_per_second {rate} is "
-                        f"below the asserted floor {floor} "
-                        "(stale or hand-edited artifact?)"
-                    )
-    store = payload.get("store")
-    if store is not None:
-        if not isinstance(store, dict):
-            problems.append("store must be a dict when present")
-        else:
-            if not isinstance(store.get("backend"), str):
-                problems.append("store.backend must be a string")
-            for key in (
-                "cold_fit_seconds",
-                "warm_restore_seconds",
-                "speedup",
-                "min_speedup_asserted",
-            ):
-                if not _is(store.get(key), float):
-                    problems.append(f"store.{key} must be a number")
-            if store.get("parity_ok") is not True:
-                problems.append("store.parity_ok must be True")
-            floor = store.get("min_speedup_asserted")
-            speedup = store.get("speedup")
-            if (
-                _is(floor, float)
-                and _is(speedup, float)
-                and floor > 0
-                and speedup < floor
-            ):
-                problems.append(
-                    f"store.speedup {speedup} is below the asserted floor "
-                    f"{floor} (stale or hand-edited artifact?)"
-                )
+            is_zero(shead, path, "lost_tracks",
+                    "(sessions were lost across the restart leg)")
+            bound(shead, path, "tracks_per_second",
+                  "min_tracks_per_second_asserted", enforced=True)
+
+    if payload.get("store") is not None:
+        store = child(payload, "store")
+        if store is not None:
+            typed(store, "store", str, "backend")
+            typed(store, "store", float, "cold_fit_seconds",
+                  "warm_restore_seconds", "speedup", "min_speedup_asserted")
+            is_true(store, "store", "parity_ok")
+            bound(store, "store", "speedup", "min_speedup_asserted")
     if problems:
         raise ValueError("invalid BENCH_serve payload: " + "; ".join(problems))

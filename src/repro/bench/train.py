@@ -317,13 +317,18 @@ def run_train_bench(
     return result
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_bench_payload(payload: dict) -> None:
     """Validate a ``BENCH_train.json`` dictionary; raises ``ValueError``.
 
     Guards the persistent trajectory's shape: schema tag, workload
     block, at least one model with complete legs, and a headline block
-    — so ``make bench-smoke`` (and through it ``make check``) fails
-    loudly when the emitted artifact drifts.
+    whose NObLe cold-fit speedup clears a positive asserted floor — so
+    ``make bench-smoke`` and ``make check-bench-artifacts`` fail loudly
+    when the emitted artifact drifts or is hand-edited.
     """
     problems: list[str] = []
     if payload.get("schema") != BENCH_SCHEMA:
@@ -349,9 +354,7 @@ def validate_bench_payload(payload: dict) -> None:
                 for field_name, field_type in _LEG_FIELDS.items():
                     value = leg.get(field_name)
                     if field_type is float:
-                        ok = isinstance(value, (int, float)) and not isinstance(
-                            value, bool
-                        )
+                        ok = _is_number(value)
                     else:
                         ok = isinstance(value, field_type)
                     if not ok:
@@ -366,9 +369,21 @@ def validate_bench_payload(payload: dict) -> None:
             if not isinstance(entry.get("speedup"), (int, float)):
                 problems.append(f"models.{name}.speedup must be a number")
     headline = payload.get("headline", {})
+    if not isinstance(headline, dict):
+        problems.append("headline must be a dict")
+        headline = {}
     for key in ("noble_cold_fit_speedup", "min_speedup_asserted"):
         if key not in headline:
             problems.append(f"headline missing {key!r}")
+    speedup = headline.get("noble_cold_fit_speedup")
+    floor = headline.get("min_speedup_asserted")
+    if speedup is not None and not _is_number(speedup):
+        problems.append("headline.noble_cold_fit_speedup must be a number")
+    elif _is_number(speedup) and _is_number(floor) and 0 < floor and speedup < floor:
+        problems.append(
+            f"headline.noble_cold_fit_speedup {speedup} is below the asserted "
+            f"floor {floor} (stale or hand-edited artifact?)"
+        )
     if problems:
         raise ValueError(
             "invalid BENCH_train payload: " + "; ".join(problems)

@@ -6,14 +6,9 @@ Run the paper's experiments without writing code::
     python -m repro.cli ipin            # single-building results
     python -m repro.cli imu             # Table III style comparison
     python -m repro.cli energy          # §IV-C / §V-D accounting
-    python -m repro.cli serve-bench     # per-query vs batched serving
-    python -m repro.cli serve-bench --async   # deadline-driven front end sweep
+    python -m repro.cli serve-bench     # every serving block -> BENCH_serve.json
     python -m repro.cli shard-bench     # sharded vs monolithic kNN index
     python -m repro.cli train-bench     # float32 fast path vs seed training loop
-    python -m repro.cli quant-bench     # uint8 radio-map scan vs float32 scan
-    python -m repro.cli embed-bench     # learned-embedding kNN vs raw-RSSI kNN
-    python -m repro.cli chaos-bench     # fault-injection storm vs the serving tier
-    python -m repro.cli track-bench     # streaming trajectory sessions vs the oracle
     python -m repro.cli snapshot --model noble --store models/   # fit + persist
     python -m repro.cli warm-serve --model noble --store models/ # restore + serve
     python -m repro.cli wifi --preset paper --csv trainingData.csv
@@ -21,15 +16,16 @@ Run the paper's experiments without writing code::
 ``--preset fast`` (default) finishes in a couple of minutes on a laptop;
 ``--preset paper`` approaches the paper's scale; ``--preset smoke`` is a
 seconds-scale schema check for the benches that emit JSON artifacts
-(train-bench, serve-bench --async).
+(train-bench, serve-bench).
 
-``serve-bench --async`` pushes the query stream through
+``serve-bench`` pushes the query stream through
 :class:`repro.serving.ServingFrontend` — concurrent producer threads,
 micro-batches drained on a latency deadline — sweeping deadline vs
-throughput, asserting prediction parity with the synchronous path, and
-writing the ``BENCH_serve.json`` trajectory artifact.  With ``--store
-DIR`` it additionally measures the cold-start vs warm-start restart leg
-through the persistent model store at ``DIR``.
+throughput and asserting prediction parity with the synchronous path,
+then runs the shard-worker, quantized-scan, learned-embedding, chaos and
+streaming-session blocks, and writes the ``BENCH_serve.json`` trajectory
+artifact.  With ``--store DIR`` it additionally measures the cold-start
+vs warm-start restart leg through the persistent model store at ``DIR``.
 
 ``snapshot`` fits a registered backend on the serving workload and
 persists it through :class:`repro.core.persistence.ModelStore`;
@@ -56,16 +52,15 @@ def main(argv: "list[str] | None" = None) -> int:
         "experiment",
         choices=(
             "wifi", "ipin", "imu", "energy",
-            "serve-bench", "shard-bench", "train-bench", "quant-bench",
-            "embed-bench", "chaos-bench", "track-bench", "snapshot",
+            "serve-bench", "shard-bench", "train-bench", "snapshot",
             "warm-serve",
         ),
         help="which experiment to run",
     )
     parser.add_argument(
         "--preset", choices=("fast", "paper", "smoke"), default="fast",
-        help="experiment scale (default: fast; smoke is for the JSON "
-             "benches: train-bench and serve-bench --async)",
+        help="experiment scale (default: fast; smoke is for train-bench, "
+             "serve-bench, snapshot and warm-serve)",
     )
     parser.add_argument(
         "--csv", default=None,
@@ -80,36 +75,30 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument(
         "--store", default=None, metavar="DIR",
         help="persistent model-store directory: enables the serve-bench "
-             "--async cold-vs-warm restart leg, and is where snapshot "
+             "cold-vs-warm restart leg, and is where snapshot "
              "writes / warm-serve reads fitted-model artifacts "
              "(snapshot and warm-serve default to ./model-store)",
     )
     parser.add_argument(
         "--batch-size", type=int, default=None,
-        help="query batch size (serve-bench and shard-bench; "
-             "default: 64, or the preset's for serve-bench --async)",
-    )
-    parser.add_argument(
-        "--async", dest="run_async", action="store_true",
-        help="serve-bench only: benchmark the deadline-driven async "
-             "front end (deadline sweep, parity assertion, "
-             "BENCH_serve.json artifact)",
+        help="query batch size (serve-bench, shard-bench and warm-serve; "
+             "default: the preset's for serve-bench, else 64)",
     )
     parser.add_argument(
         "--deadlines", default=None,
         help="comma-separated flush deadlines in ms for the "
-             "serve-bench --async sweep (default: the preset's, "
+             "serve-bench sweep (default: the preset's, "
              "e.g. 5,20,50)",
     )
     parser.add_argument(
         "--producers", type=int, default=None,
-        help="concurrent producer threads for serve-bench --async "
+        help="concurrent producer threads for serve-bench "
              "(default: the preset's)",
     )
     parser.add_argument(
         "--workers", default=None,
         help="comma-separated shard-worker process counts for the "
-             "serve-bench --async multi-process sweep (0 = thread "
+             "serve-bench multi-process sweep (0 = thread "
              "front end, always included; default: the preset's, "
              "e.g. 0,1,2)",
     )
@@ -130,12 +119,12 @@ def main(argv: "list[str] | None" = None) -> int:
         "--output", default=None,
         help="where the JSON trajectory entry is written (default: "
              "BENCH_train.json for train-bench, BENCH_serve.json for "
-             "serve-bench --async)",
+             "serve-bench)",
     )
     parser.add_argument(
         "--min-speedup", type=float, default=None,
         help="override the asserted speedup floor (train-bench NObLe "
-             "cold fit / serve-bench --async headline throughput; "
+             "cold fit / serve-bench headline throughput; "
              "0 disables the assertion)",
     )
     parser.add_argument(
@@ -144,15 +133,11 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    smoke_capable = (
-        "train-bench", "serve-bench", "quant-bench", "embed-bench",
-        "chaos-bench", "track-bench", "snapshot", "warm-serve",
-    )
+    smoke_capable = ("train-bench", "serve-bench", "snapshot", "warm-serve")
     if args.experiment not in smoke_capable and args.preset == "smoke":
         raise SystemExit(
             "--preset smoke is only supported by train-bench, "
-            "serve-bench --async, quant-bench, embed-bench, "
-            "chaos-bench, track-bench, snapshot, and warm-serve"
+            "serve-bench, snapshot, and warm-serve"
         )
     runner = {
         "wifi": run_wifi,
@@ -162,10 +147,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "serve-bench": run_serve_bench,
         "shard-bench": run_shard_bench,
         "train-bench": run_train_bench,
-        "quant-bench": run_quant_bench,
-        "embed-bench": run_embed_bench,
-        "chaos-bench": run_chaos_bench,
-        "track-bench": run_track_bench,
         "snapshot": run_snapshot,
         "warm-serve": run_warm_serve,
     }[args.experiment]
@@ -316,99 +297,24 @@ def run_imu(args) -> None:
 
 
 def run_serve_bench(args) -> None:
-    """Benchmark the serving layer: per-query vs micro-batched vs cached.
-
-    Builds a synthetic UJIIndoorLoc-sized radio map, fits one registered
-    estimator through the :class:`repro.serving.ModelCache`, then serves
-    the same query workload (a) one request at a time and (b) through the
-    :class:`repro.serving.MicroBatcher`, asserting identical predictions.
-
-    With ``--async``, the workload instead goes through the
-    deadline-driven :class:`repro.serving.ServingFrontend`: concurrent
-    producers, a flush-deadline sweep, per-leg prediction parity against
-    the synchronous oracle, and a schema-validated ``BENCH_serve.json``
-    trajectory artifact.
-    """
-    import time
-
-    from repro.data import generate_uji_like
-    from repro.serving import MicroBatcher, ModelCache, get
-
-    if args.run_async:
-        return run_serve_bench_async(args)
-    if args.preset == "smoke":
-        raise SystemExit("serve-bench --preset smoke requires --async")
-    get(args.model)  # fail fast on a typo'd name, before dataset generation
-    seed = args.seed if args.seed is not None else 42
-    batch_size = args.batch_size if args.batch_size is not None else 64
-    scale = dict(fast=(48, 10, 10, 400), paper=(170, 20, 18, 2000))[args.preset]
-    n_spots, per_spot, n_aps, n_queries = scale
-    dataset = generate_uji_like(
-        n_spots_per_building=n_spots,
-        measurements_per_spot=per_spot,
-        n_aps_per_floor=n_aps,
-        seed=seed,
-    )
-    train, test = dataset.split((0.8, 0.2), rng=seed + 1)
-    rng = np.random.default_rng(seed + 2)
-    queries = test.rssi[rng.integers(0, len(test), size=n_queries)]
-    print(
-        f"radio map: {len(train)} fingerprints x {train.n_aps} WAPs, "
-        f"{n_queries} queries, model={args.model!r}\n"
-    )
-
-    cache = ModelCache(capacity=4)
-    tic = time.perf_counter()
-    estimator = cache.get_or_fit(args.model, train)
-    fit_cold = time.perf_counter() - tic
-    tic = time.perf_counter()
-    cache.get_or_fit(args.model, train)
-    fit_warm = time.perf_counter() - tic
-    print(f"fit (cache miss) : {fit_cold * 1000:9.2f} ms")
-    print(f"fit (cache hit)  : {fit_warm * 1000:9.2f} ms "
-          f"({fit_cold / max(fit_warm, 1e-9):.0f}x faster)")
-
-    tic = time.perf_counter()
-    single = [estimator.predict_batch(q[None, :]) for q in queries]
-    t_single = time.perf_counter() - tic
-
-    batcher = MicroBatcher(estimator, batch_size=batch_size)
-    tic = time.perf_counter()
-    batched = batcher.predict_many(queries)
-    t_batched = time.perf_counter() - tic
-
-    single_xy = np.vstack([p.coordinates for p in single])
-    if not np.allclose(single_xy, batched.coordinates, rtol=0.0, atol=1e-9):
-        raise AssertionError("batched predictions diverge from per-query")
-
-    print(f"\nper-query        : {t_single:9.4f} s "
-          f"({n_queries / t_single:10.0f} req/s)")
-    print(f"micro-batched    : {t_batched:9.4f} s "
-          f"({n_queries / t_batched:10.0f} req/s, "
-          f"batch={batch_size}, {batcher.n_batches} calls)")
-    print(f"batching speedup : {t_single / t_batched:9.1f}x")
-    stats = cache.stats()
-    print(f"cache            : {stats.hits} hits / {stats.misses} misses "
-          f"({stats.size}/{stats.capacity} slots)")
-
-
-def run_serve_bench_async(args) -> None:
-    """Benchmark the deadline-driven async serving front end.
+    """Benchmark the serving tier and write ``BENCH_serve.json``.
 
     Sweeps flush deadline vs throughput through
     :class:`repro.serving.ServingFrontend` with concurrent producer
     threads, asserts per-leg prediction parity against the synchronous
     path and a minimum headline speedup over naive per-query serving,
-    then sweeps the multi-process shard-worker tier (``--workers``,
-    preset default) against the thread front end at the headline
-    deadline, prints the comparison, and writes the
-    ``BENCH_serve.json`` perf-trajectory artifact (schema-validated
-    before writing).
+    then runs every serving block of :func:`repro.bench.run_serve_bench`
+    — the multi-process shard-worker sweep (``--workers``, preset
+    default), the quantized scan, the learned-embedding kNN, the chaos
+    storm and the streaming sessions — prints the report, and writes the
+    perf-trajectory artifact (schema-validated before writing).
     """
     import json
 
     from repro.bench import run_serve_bench as bench, validate_bench_payload
+    from repro.serving import get
 
+    get(args.model)  # fail fast on a typo'd name, before dataset generation
     seed = args.seed if args.seed is not None else 42
     deadlines = None
     if args.deadlines is not None:
@@ -454,237 +360,6 @@ def run_serve_bench_async(args) -> None:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"\nwrote {output}")
-
-
-def run_quant_bench(args) -> None:
-    """Standalone run of the serve-bench quant block.
-
-    Benchmarks the uint8 radio-map scan (binned
-    :class:`~repro.sharding.ShardedKNNIndex` with ADC shortlist +
-    exact rerank) against the monolithic float32 brute scan on the
-    preset's quant-scale map, asserting the preset's req/s, recall,
-    and bytes-per-fingerprint floors — the same block ``serve-bench
-    --async`` embeds in ``BENCH_serve.json``, runnable in isolation
-    (``--preset smoke`` for a seconds-scale check, ``--min-speedup``
-    to override or disable the throughput floor).
-    """
-    from repro.bench.serve import PRESETS, _quant_block
-
-    seed = args.seed if args.seed is not None else 42
-    config = PRESETS[args.preset]
-    min_speedup = (
-        config.quant_min_speedup
-        if args.min_speedup is None
-        else float(args.min_speedup)
-    )
-    try:
-        block = _quant_block(config, seed, min_speedup)
-    except (ValueError, AssertionError) as error:
-        raise SystemExit(f"quant-bench: {error}") from None
-    head = block["headline"]
-    print(
-        f"quant-bench preset={args.preset} seed={seed}: "
-        f"{block['n_points']} x {block['n_aps']} map, "
-        f"{block['n_bins']} bins, k={block['k']}, refine={block['refine']}"
-    )
-    print(
-        f"  float32 scan: {block['baseline']['seconds']:7.3f} s "
-        f"({block['baseline']['requests_per_second']:7.0f} req/s, "
-        f"{block['baseline']['bytes_per_fingerprint']:.0f} B/fp)"
-    )
-    print(
-        f"  uint8 scan  : {block['quant']['seconds']:7.3f} s "
-        f"({block['quant']['requests_per_second']:7.0f} req/s, "
-        f"{block['quant']['bytes_per_fingerprint']:.0f} B/fp)"
-    )
-    print(
-        f"  {head['speedup_vs_float32']:.2f}x req/s "
-        f"(floor {head['min_speedup_asserted']:.1f}x"
-        + ("" if head["floor_enforced"] else ", not enforced")
-        + f"), recall@k {head['recall_at_k']:.4f} "
-        f"(floor {head['min_recall_asserted']:.2f}), "
-        f"{head['bytes_ratio']:.2f}x scan bytes "
-        f"(ceiling {head['max_bytes_ratio_asserted']:.2f}x)"
-    )
-    print(
-        f"  position error {block['quant_error_m']:.2f} m vs oracle "
-        f"{block['oracle_error_m']:.2f} m (delta {block['error_delta_m']:+.3f} m)"
-    )
-
-
-def run_embed_bench(args) -> None:
-    """Standalone run of the serve-bench embed block.
-
-    Fits the raw-RSSI ``knn`` and learned-embedding ``embed-knn``
-    backends on the same noisy radio map and serves the same held-out
-    queries through both, asserting the preset's req/s floor (at
-    matched location-recall@k) and position-error ceiling — the same
-    block ``serve-bench --async`` embeds in ``BENCH_serve.json``,
-    runnable in isolation (``--preset smoke`` for a seconds-scale
-    check, ``--min-speedup`` to override or disable the throughput
-    floor).
-    """
-    from repro.bench.serve import PRESETS, _embed_block
-
-    seed = args.seed if args.seed is not None else 42
-    config = PRESETS[args.preset]
-    min_speedup = (
-        config.embed_min_speedup
-        if args.min_speedup is None
-        else float(args.min_speedup)
-    )
-    try:
-        block = _embed_block(config, seed, min_speedup)
-    except (ValueError, AssertionError) as error:
-        raise SystemExit(f"embed-bench: {error}") from None
-    head = block["headline"]
-    print(
-        f"embed-bench preset={args.preset} seed={seed}: "
-        f"{block['n_points']} x {block['n_aps']} map -> "
-        f"{block['n_components']}-dim {block['embedder']!r} embedding, "
-        f"k={block['k']}, {block['n_queries']} held-out queries"
-    )
-    for label, leg in (("raw kNN ", block["raw"]), ("embed-knn", block["embed"])):
-        print(
-            f"  {label}: {leg['seconds']:7.3f} s "
-            f"({leg['requests_per_second']:7.0f} req/s, "
-            f"error {leg['error_m']:.2f} m, "
-            f"recall@k {leg['recall_at_k']:.3f}, "
-            f"fit {leg['fit_seconds']:.1f} s)"
-        )
-    print(
-        f"  {head['speedup_vs_raw']:.2f}x req/s over raw kNN "
-        f"(floor {head['min_speedup_asserted']:.1f}x"
-        + ("" if head["floor_enforced"] else ", not enforced")
-        + f"), error ratio {head['error_ratio_vs_raw']:.3f} "
-        f"(ceiling {head['max_error_ratio_asserted']:.2f}), "
-        f"recall ratio {head['recall_ratio_vs_raw']:.3f} "
-        f"(floor {head['min_recall_ratio_asserted']:.2f}, "
-        f"within {block['recall_radius_m']:.0f} m)"
-    )
-
-
-def run_chaos_bench(args) -> None:
-    """Standalone run of the serve-bench resilience block.
-
-    Drives a seeded fault storm — worker SIGKILLs, SIGSTOP heartbeat
-    stalls, shared-memory slot corruption, store-artifact corruption,
-    and randomly slowed batches — against the self-protecting front end
-    (fair-shed admission, circuit-broken failover to the thread path)
-    and asserts the same floors ``serve-bench --async`` embeds in
-    ``BENCH_serve.json``: zero hung requests, prediction parity on
-    every answered request, and the preset's availability floor
-    (``--min-speedup`` is not used here; the floor comes from the
-    preset's ``chaos_min_availability``).
-    """
-    from repro.bench.serve import PRESETS, _resilience_block, serve_workload
-
-    seed = args.seed if args.seed is not None else 42
-    try:
-        config, train, queries = serve_workload(args.preset, seed)
-        block = _resilience_block(
-            config, train, queries, seed, config.chaos_min_availability
-        )
-    except (ValueError, AssertionError) as error:
-        raise SystemExit(f"chaos-bench: {error}") from None
-    faults, outcomes, head = block["faults"], block["outcomes"], block["headline"]
-    print(
-        f"chaos-bench preset={args.preset} seed={seed}: "
-        f"{block['queries']} queries through {block['workers']} workers "
-        f"(shm={'yes' if block['shm_available'] else 'no'}, "
-        f"max_pending={block['max_pending']})"
-    )
-    print(
-        f"  faults  : kills={faults['kills']} stalls={faults['stalls']} "
-        f"slot_corruptions={faults['slot_corruptions']} "
-        f"store_corruptions={faults['store_corruptions']} "
-        f"delayed_batches={faults['delayed_batches']}"
-    )
-    print(
-        f"  recovery: respawns={block['pool']['respawns']} "
-        f"store_heals={block['pool']['store_heals']} "
-        f"breaker_trips={block['breaker']['trips']} "
-        f"failovers={block['executor']['failovers']} "
-        f"(breaker now {block['breaker']['state']})"
-    )
-    print(
-        f"  outcomes: answered={outcomes['answered']} "
-        f"shed={outcomes['shed']} failed={outcomes['failed']} "
-        f"hung={outcomes['hung']}; hot-tenant shed rate "
-        f"{block['shed']['hot_rate']:.2f} vs lightest "
-        f"{block['shed']['light_rate']:.2f} "
-        f"(fairness {'ok' if head['fairness_ok'] else 'INVERTED'})"
-    )
-    print(
-        f"  availability {head['availability']:.4f} "
-        f"(floor {head['min_availability_asserted']:.2f}"
-        + ("" if head["floor_enforced"] else ", not enforced")
-        + "), parity on all answered requests "
-        + ("ok" if head["parity_ok"] else "FAILED")
-    )
-
-
-def run_track_bench(args) -> None:
-    """Standalone run of the serve-bench sessions block.
-
-    Serves the preset's streaming-trajectory workload — concurrent
-    per-user :class:`~repro.serving.sessions.TrackingSession`\\ s
-    micro-batched across users per time step behind the threaded
-    :class:`~repro.serving.sessions.TrackingFrontend` — and asserts
-    the same floors ``serve-bench --async`` embeds in
-    ``BENCH_serve.json``: bitwise trajectory parity against the
-    offline single-session oracle (RMSE delta exactly 0.0 m), zero
-    lost tracks across the checkpoint/restart leg, and the preset's
-    concurrent-ticks/sec floor (``--min-speedup`` overrides it; 0
-    disables).
-    """
-    from repro.bench.serve import PRESETS, _sessions_block
-
-    seed = args.seed if args.seed is not None else 42
-    config = PRESETS[args.preset]
-    min_tracks = (
-        config.track_min_tracks_per_s
-        if args.min_speedup is None
-        else float(args.min_speedup)
-    )
-    try:
-        block = _sessions_block(config, seed, min_tracks)
-    except (ValueError, AssertionError) as error:
-        raise SystemExit(f"track-bench: {error}") from None
-    t, p, rec = block["throughput"], block["parity"], block["recovery"]
-    head = block["headline"]
-    print(
-        f"track-bench preset={args.preset} seed={seed}: "
-        f"{block['users']} concurrent {block['engine']!r} tracks x "
-        f"{block['ticks_per_user']} ticks "
-        f"({block['samples_per_segment']} samples/segment, "
-        f"batch={block['batch_size']}, {block['producers']} producers)"
-    )
-    print(
-        f"  throughput: {t['seconds']:7.3f} s "
-        f"({t['tracks_per_second']:8.0f} ticks/s across sessions, "
-        f"{t['n_batches']} batches, fill {t['mean_batch_fill']:.1f})"
-    )
-    print(
-        f"  parity    : served RMSE {p['served_rmse_m']:.2f} m vs "
-        f"oracle {p['oracle_rmse_m']:.2f} m "
-        f"(delta {p['rmse_delta_m']:.1f} m, "
-        f"max |delta| {p['max_abs_delta_m']:.1f} m)"
-    )
-    print(
-        f"  recovery  : {rec['checkpointed']} checkpointed, "
-        f"{rec['restored']} restored after restart, "
-        f"{rec['lost_tracks']} lost; resumed parity "
-        f"{'ok' if rec['resumed_parity_ok'] else 'FAILED'}"
-    )
-    print(
-        f"  headline: {head['tracks_per_second']:.0f} ticks/s over "
-        f"{head['concurrent_sessions']} sessions "
-        f"(floor {head['min_tracks_per_second_asserted']:.0f}"
-        + ("" if head["floor_enforced"] else ", not enforced")
-        + f"), RMSE delta {head['rmse_delta_m']:.1f} m, "
-        f"{head['lost_tracks']} lost tracks"
-    )
 
 
 def _store_cache_and_workload(args):

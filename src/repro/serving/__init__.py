@@ -56,8 +56,9 @@ The production-facing seam of the repo.  Four pieces compose:
     — with an in-flight guard so a restore stampede loads exactly
     once.  :class:`TrackingFrontend` puts the deadline front end on
     top: ``submit(user_id, imu=segment)`` returns a ticket for that
-    user's next position.  ``python -m repro.cli track-bench`` proves
-    throughput, oracle parity, and restart recovery.
+    user's next position.  The ``sessions`` block of ``python -m
+    repro.cli serve-bench`` proves throughput, oracle parity, and
+    restart recovery.
 ``resilience`` / ``faults``
     The self-protection layer and the chaos harness that proves it:
     pluggable :class:`AdmissionPolicy` load shedding on the front end
@@ -67,8 +68,8 @@ The production-facing seam of the repo.  Four pieces compose:
     thread path (and probing it back), :class:`RetryPolicy` for
     transient store/dispatch failures, and a seeded
     :class:`FaultInjector` (worker kills, heartbeat stalls, shm slot
-    and store-artifact corruption) driving ``python -m repro.cli
-    chaos-bench``.
+    and store-artifact corruption) driving the ``resilience`` block of
+    ``python -m repro.cli serve-bench``.
 
 Spawn-vs-fork policy
 --------------------
@@ -110,10 +111,10 @@ Asynchronous serving under a 50 ms latency budget::
         tickets = [fe.submit(scan) for scan in incoming]
         positions = [t.result().coordinates[0] for t in tickets]
 
-``python -m repro.cli serve-bench`` benchmarks the synchronous path;
-``serve-bench --async`` sweeps deadline vs throughput through the
-front end — and, with ``--workers N``, through the process-backed
-tier — and writes the ``BENCH_serve.json`` trajectory artifact.
+``python -m repro.cli serve-bench`` sweeps deadline vs throughput
+through the front end — and, with ``--workers N``, through the
+process-backed tier — runs every other serving block, and writes the
+``BENCH_serve.json`` trajectory artifact.
 """
 
 from repro.serving.batcher import MicroBatcher, Ticket

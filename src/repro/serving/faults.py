@@ -6,8 +6,8 @@ slots rot, store artifacts corrupt, and models run slow.  This module
 *makes those things happen*, reproducibly: a :class:`FaultInjector`
 draws every decision from one seeded :class:`numpy.random.Generator`
 stream, so two injectors with the same seed plan the same fault
-sequence — the chaos bench (``python -m repro.cli chaos-bench``) and
-the respawn-storm tests replay identical storms.
+sequence — the serve-bench resilience block (``python -m repro.cli
+serve-bench``) and the respawn-storm tests replay identical storms.
 
 Fault surface:
 

@@ -273,8 +273,8 @@ class EmbeddedKNNEstimator(Estimator):
     before the neighbor scan.  Distances shrink from the raw WAP count
     to ``n_components``, so the scan is faster *and* — because the
     embedding pulls same-location fingerprints together — typically
-    more accurate than raw-RSSI kNN (``python -m repro.cli
-    embed-bench`` pins both claims).
+    more accurate than raw-RSSI kNN (the ``embed`` block of ``python -m
+    repro.cli serve-bench`` pins both claims).
 
     ``embedder`` picks the learner (``"mlp"`` default, or
     ``"metric"``); ``embed_params`` are its constructor kwargs.  The

@@ -334,7 +334,7 @@ class ShardWorkerPool:
     # ----------------------------------------------------------- lifecycle
     def _spawn(self, handle: _WorkerHandle) -> None:
         handle.channel.reset()
-        handle.process = self._context.Process(
+        process = self._context.Process(
             target=_worker_main,
             args=(
                 handle.worker_id,
@@ -349,7 +349,11 @@ class ShardWorkerPool:
             name=f"shard-worker-{handle.worker_id}",
             daemon=True,
         )
-        handle.process.start()
+        process.start()
+        # published only once started: close() and _reap() join
+        # handle.process, and joining a never-started process raises
+        # (which would mask the start error and leak every segment)
+        handle.process = process
         handle.last_heartbeat = -1
         handle.last_beat_at = time.monotonic()
 

@@ -1,4 +1,4 @@
-"""serve-bench --async: smoke execution, schema validation, CLI artifact."""
+"""serve-bench: smoke execution, schema validation, CLI artifact."""
 
 import json
 
@@ -105,6 +105,36 @@ class TestValidatePayload:
         with pytest.raises(ValueError, match="async_speedup"):
             validate_serve_bench_payload(payload)
 
+    def test_rejects_async_speedup_below_positive_floor(self, smoke_result):
+        payload = smoke_result.payload()
+        payload["headline"]["min_speedup_asserted"] = 5.0
+        payload["headline"]["async_speedup"] = 2.0
+        with pytest.raises(ValueError, match="headline.async_speedup 2.0 is below"):
+            validate_bench_payload(payload)
+
+    def test_zero_floor_disables_the_async_speedup_check(self, smoke_result):
+        payload = smoke_result.payload()
+        payload["headline"]["min_speedup_asserted"] = 0.0
+        payload["headline"]["async_speedup"] = 0.5
+        validate_bench_payload(payload)
+
+    def test_rejects_bool_as_number(self, smoke_result):
+        payload = smoke_result.payload()
+        payload["naive"]["seconds"] = True
+        with pytest.raises(ValueError, match="naive.seconds must be a number"):
+            validate_serve_bench_payload(payload)
+
+    def test_rejects_non_dict_block_without_crashing(self, smoke_result):
+        payload = smoke_result.payload()
+        payload["quant"] = ["not", "a", "block"]
+        payload["workload"] = None
+        with pytest.raises(ValueError, match="quant must be a dict"):
+            validate_serve_bench_payload(payload)
+
+    def test_rejects_non_dict_payload(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            validate_bench_payload(["not", "a", "payload"])
+
     def test_train_validator_rejects_serve_payload(self, smoke_result):
         with pytest.raises(ValueError, match="schema"):
             validate_train_bench_payload(smoke_result.payload())
@@ -119,7 +149,6 @@ class TestCLI:
             main(
                 [
                     "serve-bench",
-                    "--async",
                     "--preset",
                     "smoke",
                     "--seed",
@@ -134,17 +163,11 @@ class TestCLI:
         validate_bench_payload(payload)
         assert payload["schema"] == SERVE_BENCH_SCHEMA
 
-    def test_smoke_preset_requires_async(self):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit, match="async"):
-            main(["serve-bench", "--preset", "smoke"])
-
     def test_malformed_deadlines_rejected(self):
         from repro.cli import main
 
         with pytest.raises(SystemExit, match="deadlines"):
-            main(["serve-bench", "--async", "--preset", "smoke",
+            main(["serve-bench", "--preset", "smoke",
                   "--deadlines", "fast,slow"])
 
 
@@ -396,14 +419,6 @@ class TestEmbedBlock:
         with pytest.raises(ValueError, match="recall_ratio_vs_raw"):
             validate_serve_bench_payload(payload)
 
-    def test_embed_bench_cli_runs(self, capsys):
-        from repro.cli import main
-
-        assert main(["embed-bench", "--preset", "smoke", "--seed", "9"]) == 0
-        out = capsys.readouterr().out
-        assert "embed-bench preset=smoke" in out
-        assert "embed-knn" in out
-
 
 class TestWorkersBlock:
     """The multi-process tier sweep (schema v3): emission + validation."""
@@ -574,10 +589,43 @@ class TestResilienceBlock:
         with pytest.raises(ValueError, match="min_availability_asserted"):
             validate_serve_bench_payload(payload)
 
-    def test_chaos_bench_cli_runs(self, capsys):
-        from repro.cli import main
 
-        assert main(["chaos-bench", "--preset", "smoke", "--seed", "9"]) == 0
-        out = capsys.readouterr().out
-        assert "availability" in out
-        assert "chaos-bench preset=smoke" in out
+class TestSessionsValidation:
+    """The sessions headline invariants a committed artifact must keep."""
+
+    def test_smoke_block_validates(self, smoke_result):
+        head = smoke_result.payload()["sessions"]["headline"]
+        assert head["lost_tracks"] == 0 and head["rmse_delta_m"] == 0.0
+
+    def test_rejects_lost_tracks(self, smoke_result):
+        payload = smoke_result.payload()
+        payload["sessions"]["headline"]["lost_tracks"] = 1
+        with pytest.raises(ValueError, match="sessions.headline.lost_tracks"):
+            validate_serve_bench_payload(payload)
+
+    def test_rejects_nonzero_rmse_delta(self, smoke_result):
+        payload = smoke_result.payload()
+        payload["sessions"]["headline"]["rmse_delta_m"] = 1e-9
+        with pytest.raises(ValueError, match="exactly 0.0"):
+            validate_serve_bench_payload(payload)
+
+    def test_rejects_failed_parity(self, smoke_result):
+        payload = smoke_result.payload()
+        payload["sessions"]["headline"]["parity_ok"] = False
+        with pytest.raises(ValueError, match="parity_ok is not True"):
+            validate_serve_bench_payload(payload)
+
+    def test_rejects_enforced_floor_violation(self, smoke_result):
+        payload = smoke_result.payload()
+        head = payload["sessions"]["headline"]
+        head["floor_enforced"] = True
+        head["min_tracks_per_second_asserted"] = 100.0
+        head["tracks_per_second"] = 10.0
+        with pytest.raises(ValueError, match="below the asserted floor"):
+            validate_serve_bench_payload(payload)
+
+    def test_rejects_missing_headline_key(self, smoke_result):
+        payload = smoke_result.payload()
+        del payload["sessions"]["headline"]["concurrent_sessions"]
+        with pytest.raises(ValueError, match="concurrent_sessions"):
+            validate_serve_bench_payload(payload)

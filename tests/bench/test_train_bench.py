@@ -88,6 +88,19 @@ class TestValidatePayload:
         with pytest.raises(ValueError, match="models"):
             validate_bench_payload(payload)
 
+    def test_rejects_cold_fit_speedup_below_floor(self, smoke_result):
+        payload = smoke_result.payload()
+        payload["headline"]["min_speedup_asserted"] = 2.0
+        payload["headline"]["noble_cold_fit_speedup"] = 1.5
+        with pytest.raises(ValueError, match="below the asserted floor"):
+            validate_bench_payload(payload)
+
+    def test_zero_floor_disables_the_speedup_check(self, smoke_result):
+        payload = smoke_result.payload()
+        payload["headline"]["min_speedup_asserted"] = 0.0
+        payload["headline"]["noble_cold_fit_speedup"] = 0.5
+        validate_bench_payload(payload)
+
 
 class TestCLI:
     def test_train_bench_writes_artifact(self, tmp_path):

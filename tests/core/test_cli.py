@@ -22,12 +22,23 @@ class TestCLIParsing:
         assert excinfo.value.code == 0
         assert "experiment" in capsys.readouterr().out
 
-    def test_serve_bench_runs(self, capsys):
-        assert cli.main(["serve-bench", "--batch-size", "32"]) == 0
-        out = capsys.readouterr().out
-        assert "cache miss" in out
-        assert "micro-batched" in out
-        assert "batching speedup" in out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quant-bench"],
+            ["embed-bench"],
+            ["chaos-bench"],
+            ["track-bench"],
+            ["serve-bench", "--async"],
+        ],
+    )
+    def test_removed_bench_commands_rejected(self, argv, capsys):
+        # every serving block runs through serve-bench alone
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + ["--preset", "smoke"])
+        assert excinfo.value.code == 2  # an argparse usage error
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments" in err
 
     def test_serve_bench_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="unknown estimator"):

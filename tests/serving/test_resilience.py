@@ -2,8 +2,8 @@
 
 Everything here runs deterministically — injected fake clocks, seeded
 jitter, no real worker processes — pinning the contracts the chaos
-harness (``test_faults.py``, ``chaos-bench``) then exercises under
-real SIGKILLs:
+harness (``test_faults.py``, the serve-bench resilience block) then
+exercises under real SIGKILLs:
 
 * **fair shedding** — a tenant at 10x offered load absorbs the
   evictions; light tenants keep their fair share of the bounded queue;

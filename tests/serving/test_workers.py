@@ -274,3 +274,37 @@ class TestResilienceParameterValidation:
                 sharded_knn, store, fingerprint=fingerprint, n_workers=1,
                 **kwargs,
             )
+
+
+class TestStartupFailure:
+    def test_failed_start_raises_the_real_error_and_unlinks_segments(
+        self, sharded_knn, store, fingerprint, monkeypatch
+    ):
+        """A worker whose ``start()`` raises must surface that error, not
+        the ``join`` of a never-started process, and unlink every ring."""
+        import multiprocessing.process
+
+        from repro.serving import workers as workers_module
+        from repro.serving.shm import attach_segment
+
+        names = []
+        channel_class = workers_module.WorkerChannel
+
+        def recording_channel(*args, **kwargs):
+            channel = channel_class(*args, **kwargs)
+            names.append(channel.name)
+            return channel
+
+        def failing_start(self):
+            raise OSError("simulated spawn failure")
+
+        monkeypatch.setattr(workers_module, "WorkerChannel", recording_channel)
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", failing_start
+        )
+        with pytest.raises(OSError, match="simulated spawn failure"):
+            _pool(sharded_knn, store, fingerprint, 2)
+        assert len(names) == 2
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                attach_segment(name)
