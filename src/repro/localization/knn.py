@@ -23,9 +23,9 @@ class KNNFingerprinting:
 
     ``shards > 1`` builds a :class:`repro.sharding.ShardedKNNIndex` over
     the radio map instead of one monolithic index; the sharded merge is
-    exact (identical sorted neighbor distances; neighbor identity can
-    differ only within exact distance ties, which a monolithic scan
-    also leaves unspecified), only the scan strategy differs.  The
+    exact — the same neighbors as the monolithic scan, ties included,
+    since both keep the lowest index among equal distances — only the
+    scan strategy differs.  The
     default ``partitioner="auto"`` shards by the dataset's
     (building, floor) labels.
 

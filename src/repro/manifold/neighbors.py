@@ -26,7 +26,10 @@ class KNNIndex:
         (N, D) array indexed once at construction.
     method:
         ``"auto"`` picks a KD-tree for D <= 20 and brute force otherwise;
-        ``"kdtree"`` / ``"brute"`` force a backend.
+        ``"kdtree"`` / ``"brute"`` force a backend.  The brute backend
+        breaks distance ties by lowest index (the package-wide rule, see
+        :mod:`repro.manifold.chunked`); the KD-tree backend matches it on
+        distances only, since scipy owns the order of its ties.
     binner:
         Optional fitted :class:`repro.quantization.FeatureBinner`.  When
         given, the index stores only the uint8 bin codes of ``points``
@@ -164,10 +167,10 @@ def kneighbors(
     """Self-kNN of a point set, excluding each point itself.
 
     ``shards > 1`` routes through :class:`repro.sharding.ShardedKNNIndex`
-    (partition policy set by ``partitioner``); distances are exactly the
-    monolithic ones — sharding only changes how the scan is executed.
-    (Neighbor identity can differ only within exact distance ties,
-    which a monolithic scan leaves unspecified too.)
+    (partition policy set by ``partitioner``); the result is exactly the
+    monolithic one, neighbor indices included — sharding only changes
+    how the scan is executed, and both break distance ties by lowest
+    index.  (``method="kdtree"`` orders ties as scipy does.)
     """
     if shards > 1:
         from repro.sharding import ShardedKNNIndex
@@ -306,14 +309,17 @@ def _drop_self_matches(distances: np.ndarray, indices: np.ndarray, k: int):
     Queries are the indexed points themselves (row ``i`` is point ``i``),
     so the entry whose index equals its row is dropped *by identity* —
     a zero-distance duplicate of the query is a legitimate neighbor and
-    must survive, wherever tie-breaking happened to sort it.  If the
-    self entry was crowded out of the candidate set entirely (only
-    possible when every kept candidate is a zero-distance duplicate),
-    the first column is dropped instead, which is distance-equivalent.
+    must survive.  If the self entry was crowded out of the candidate
+    set entirely (every kept candidate is a zero-distance duplicate with
+    a lower index), the last column is dropped instead: the first ``k``
+    are then exactly the self-excluded answer under the lowest-index
+    tie rule.
     """
     m = distances.shape[0]
     is_self = indices == np.arange(m)[:, None]
-    drop = np.where(is_self.any(axis=1), is_self.argmax(axis=1), 0)
+    drop = np.where(
+        is_self.any(axis=1), is_self.argmax(axis=1), distances.shape[1] - 1
+    )
     keep = np.ones(distances.shape, dtype=bool)
     keep[np.arange(m), drop] = False
     return (

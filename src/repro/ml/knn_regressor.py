@@ -16,9 +16,9 @@ class KNNRegressor:
 
     ``shards > 1`` swaps the monolithic index for an exact
     :class:`repro.sharding.ShardedKNNIndex` (k-means cells by default,
-    since generic regression carries no building/floor labels); neighbor
-    distances match the monolithic scan exactly, with neighbor identity
-    unspecified only within exact distance ties (as in any full scan).
+    since generic regression carries no building/floor labels); the
+    neighbors match the monolithic scan exactly, ties included (lowest
+    index wins in both).
     """
 
     def __init__(

@@ -210,12 +210,10 @@ class KNNFingerprintingEstimator(Estimator):
     """Classic weighted-kNN fingerprinting behind the serving protocol.
 
     ``shards > 1`` serves from an exact sharded radio-map index
-    (:class:`repro.sharding.ShardedKNNIndex`): neighbor distances are
-    identical to the monolithic configuration, so predictions match
-    except on maps where distinct-coordinate fingerprints tie *exactly*
-    at the k-th neighbor distance — there, which tied twin is kept is
-    unspecified in both configurations (argpartition order), and either
-    answer is a valid k-NN estimate.
+    (:class:`repro.sharding.ShardedKNNIndex`): both configurations keep
+    the lowest index among fingerprints tied at the k-th neighbor
+    distance, so sharded and monolithic predictions match exactly,
+    ties included.
     """
 
     def __init__(

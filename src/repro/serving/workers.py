@@ -16,9 +16,9 @@ module moves the shard scans into real processes:
   query matrix in, per-shard top-k candidates out, no pickling on the
   hot path.
 * The parent scatters each micro-batch to every worker, gathers the
-  per-worker candidates, and merges them with the same exact
-  ``argpartition`` top-k the in-process fan-out uses
-  (:func:`repro.sharding.index._global_top_k`), then computes
+  per-worker candidates, and merges them with the same tie-ordered
+  top-k the in-process fan-out uses
+  (:func:`repro.manifold.chunked.tie_ordered_top_k`), then computes
   predictions from the merged neighbor sets in-process
   (:meth:`~repro.localization.knn.KNNFingerprinting.predict_from_neighbors`).
   Results are bit-compatible with the thread path's.
@@ -508,8 +508,7 @@ class ShardWorkerPool:
 
         ``queries`` are **normalized** signal rows (the space the index
         was built in).  Matrices wider than one ring slot are chunked.
-        Equivalent to ``index.query(queries, k)`` up to neighbor
-        identity within exact distance ties.
+        Equal to ``index.query(queries, k)``, ties included.
         """
         if self._closed:
             raise WorkerPoolError("query on a closed worker pool")
@@ -542,7 +541,7 @@ class ShardWorkerPool:
 
     def _run_chunk(self, queries, k):
         """Scatter one ≤max_rows batch to every worker, gather, merge."""
-        from repro.sharding.index import _global_top_k
+        from repro.manifold.chunked import tie_ordered_top_k
 
         self._batch_counter += 1
         batch_id = self._batch_counter
@@ -556,7 +555,7 @@ class ShardWorkerPool:
         cand_d = np.concatenate([d for d, _ in gathered], axis=1)
         cand_i = np.concatenate([i for _, i in gathered], axis=1)
         eff_k = min(k, len(self.index.points))
-        return _global_top_k(cand_d, cand_i, eff_k)
+        return tie_ordered_top_k(cand_d, cand_i, eff_k)
 
     def _dispatch(self, handle, batch_id, queries, k) -> None:
         deadline = time.monotonic() + self.batch_timeout_s

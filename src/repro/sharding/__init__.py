@@ -11,8 +11,9 @@ per-query work:
     spec strings.
 ``index``
     :class:`ShardedKNNIndex` — per-shard ``KNNIndex`` fan-out via a
-    ``ThreadPoolExecutor``, exact global top-k merge with
-    ``np.argpartition``, and triangle-inequality shard pruning.
+    ``ThreadPoolExecutor``, exact global top-k merge (lowest index wins
+    ties, as in the monolithic scan), and triangle-inequality shard
+    pruning.
 ``fanout``
     :func:`fanout_map` — query-side batch fan-out for backends without
     an index to shard (exact for row-wise models).

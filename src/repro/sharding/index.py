@@ -5,24 +5,27 @@
 via :mod:`repro.sharding.partitioner`), queries shards concurrently
 through a ``ThreadPoolExecutor`` (numpy's distance kernels release the
 GIL), and merges per-shard candidates into the exact global top-k with
-``np.argpartition``.
+:func:`repro.manifold.chunked.tie_ordered_top_k`.
 
 Two properties make it a drop-in for the monolithic index:
 
-**Exactness.**  Every shard returns its local top-``min(k, |shard|)``;
-the union of shards is the whole point set, so the merged global top-k
-is identical (as a sorted distance vector) to a brute-force scan —
-including when ``k`` exceeds the smallest shard.
+**Exactness.**  Every shard returns its local top-``min(k, |shard|)``
+in global indices, ordered by ``(distance, index)``; the union of
+shards is the whole point set, so the merged global top-k is the
+monolithic brute scan's answer — neighbor indices included, ties
+included (lowest index wins everywhere) — even when ``k`` exceeds the
+smallest shard.
 
 **Pruning.**  Each shard carries its centroid and covering radius.  By
 the triangle inequality no point of shard ``s`` can be closer to query
 ``q`` than ``lb(q, s) = max(0, ||q - c_s|| - r_s)``, so after scanning
 the nearest shard any shard with ``lb >= tau`` (``tau`` = current k-th
-best distance) is skipped without changing the result's distances (only
-tie membership at exactly ``tau`` can differ, which a full scan leaves
-unspecified too).  On clustered maps most queries touch one or two
-shards, which is where the throughput win over the monolithic scan
-comes from; ``prune=False`` forces the plain all-shard fan-out.
+best distance) is skipped.  The bound carries a small negative slack,
+so a shard holding a point at exactly ``tau`` is still scanned and a
+lower-index twin there still wins.  On clustered maps most queries
+touch one or two shards, which is where the throughput win over the
+monolithic scan comes from; ``prune=False`` forces the plain all-shard
+fan-out.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.manifold.chunked import tie_ordered_top_k
 from repro.manifold.neighbors import (
     KNNIndex,
     _drop_self_matches,
@@ -363,12 +367,13 @@ class ShardedKNNIndex:
         The per-worker entrypoint of the multi-process serving tier
         (:mod:`repro.serving.workers`): each worker process restores a
         copy of the index and scans only the shards it owns; the parent
-        merges the per-worker candidates with the same exact
-        ``argpartition`` top-k the in-process fan-out uses, so the union
-        over a partition of the shard ids equals :meth:`query` with
-        pruning disabled.  Returns ``(distances, indices)`` of shape
-        ``(M, min(k, points in the listed shards))``, rows sorted
-        ascending by distance; ``indices`` are global (rows of
+        merges the per-worker candidates with the same
+        :func:`~repro.manifold.chunked.tie_ordered_top_k` the in-process
+        fan-out uses, so the merge over a partition of the shard ids
+        equals :meth:`query` exactly, indices included.  Returns
+        ``(distances, indices)`` of shape
+        ``(M, min(k, points in the listed shards))``, rows ordered by
+        distance, then index; ``indices`` are global (rows of
         ``self.points``).  Scans the listed shards serially — worker
         *processes* are the parallelism axis here.
 
@@ -398,7 +403,7 @@ class ShardedKNNIndex:
         results = [self._scan_shard(s, queries, eff_k) for s in shard_ids]
         cand_d = np.concatenate([d for d, _ in results], axis=1)
         cand_i = np.concatenate([i for _, i in results], axis=1)
-        return _global_top_k(cand_d, cand_i, eff_k)
+        return tie_ordered_top_k(cand_d, cand_i, eff_k)
 
     # ------------------------------------------------------------ query plans
     def _query_all(self, queries: np.ndarray, eff_k: int):
@@ -408,7 +413,7 @@ class ShardedKNNIndex:
         )
         cand_d = np.concatenate([d for d, _ in results], axis=1)
         cand_i = np.concatenate([i for _, i in results], axis=1)
-        return _global_top_k(cand_d, cand_i, eff_k)
+        return tie_ordered_top_k(cand_d, cand_i, eff_k)
 
     def _query_pruned(self, queries: np.ndarray, eff_k: int):
         """Two-phase scan: nearest shard first, then only unpruned shards."""
@@ -483,7 +488,7 @@ class ShardedKNNIndex:
             d = np.sqrt(np.einsum("mkd,mkd->mk", diff, diff))
             if missing.any():
                 d[missing] = np.inf
-            d_top, i_top = _global_top_k(d, ci, keep)
+            d_top, i_top = tie_ordered_top_k(d, ci, keep)
             out_d[start : start + rows] = d_top
             out_i[start : start + rows] = i_top
         return out_d, out_i
@@ -530,23 +535,10 @@ def _resolve_refine(refine: "int | None", binner) -> int:
     return refine
 
 
-def _global_top_k(cand_d: np.ndarray, cand_i: np.ndarray, k: int):
-    """Exact top-k over concatenated per-shard candidates, sorted rows."""
-    if cand_d.shape[1] > k:
-        part = np.argpartition(cand_d, kth=k - 1, axis=1)[:, :k]
-        cand_d = np.take_along_axis(cand_d, part, axis=1)
-        cand_i = np.take_along_axis(cand_i, part, axis=1)
-    order = np.argsort(cand_d, axis=1, kind="stable")
-    return (
-        np.take_along_axis(cand_d, order, axis=1),
-        np.take_along_axis(cand_i, order, axis=1),
-    )
-
-
 def _merge_rows(cand_d, cand_i, rows, d, gi, eff_k):
     """Fold one shard's candidates into the running top-k of ``rows``."""
-    merged_d = np.concatenate([cand_d[rows], d], axis=1)
-    merged_i = np.concatenate([cand_i[rows], gi], axis=1)
-    merged_d, merged_i = _global_top_k(merged_d, merged_i, eff_k)
-    cand_d[rows] = merged_d
-    cand_i[rows] = merged_i
+    cand_d[rows], cand_i[rows] = tie_ordered_top_k(
+        np.concatenate([cand_d[rows], d], axis=1),
+        np.concatenate([cand_i[rows], gi], axis=1),
+        eff_k,
+    )

@@ -65,13 +65,14 @@ class TestArgkminParity:
         np.testing.assert_allclose(dist, odist, atol=1e-9)
 
     def test_ties_return_tied_distances(self):
-        # duplicated points: which twin wins is unspecified (same as the
-        # monolithic argpartition), but the distance vector is unique
-        base = RNG.normal(size=(20, 6))
+        # triplicated integer points tie exactly: the lowest index wins,
+        # as in a stable argsort of the full matrix, whatever the tiling
+        base = RNG.integers(-4, 5, size=(20, 6)).astype(float)
         points = np.vstack([base, base, base])
-        queries = base[:5] + 1e-3
+        queries = base[:5] + 0.5
         dist, idx = chunked_argkmin(queries, points, k=9, chunk_rows=7)
-        odist, _ = oracle_argkmin(queries, points, k=9)
+        odist, oidx = oracle_argkmin(queries, points, k=9)
+        np.testing.assert_array_equal(idx, oidx)
         np.testing.assert_allclose(dist, odist, atol=1e-9)
         # every returned index really is at its claimed distance
         gathered = np.linalg.norm(
@@ -180,6 +181,17 @@ class TestTileSizing:
         f32 = resolve_chunk_rows(48, 4, l2_bytes=2 << 20)
         u8 = resolve_chunk_rows(48, 1, l2_bytes=2 << 20)
         assert u8 > 1.5 * f32
+
+    def test_tiles_follow_the_query_block(self):
+        # a square block gets the square edge back; a 10-row serving
+        # batch gets ~10x taller tiles, so ~10x fewer GEMMs per map pass
+        from repro.manifold.chunked import _tile_rows
+
+        l2 = 2 << 20
+        square = resolve_chunk_rows(48, 8, l2_bytes=l2)
+        assert abs(_tile_rows(square, 48, 8, l2_bytes=l2) - square) <= 1
+        assert _tile_rows(10, 48, 8, l2_bytes=l2) > 8 * square
+        assert _tile_rows(10**6, 48, 8, l2_bytes=l2) == 32
 
     def test_binned_source_advertises_storage_itemsize(self):
         from repro.quantization import FeatureBinner

@@ -234,8 +234,9 @@ def _drop_self_matches_loop(distances, indices, k):
     """Per-row implementation of the identity drop, kept as the oracle.
 
     Mirrors the documented contract: drop the entry whose index equals
-    its row (the query's own point); fall back to column 0 when the self
-    entry is absent.
+    its row (the query's own point); when the self entry is absent
+    (crowded out by lower-index twins), drop the last column, so the
+    first ``k`` stay — the lowest-index-wins answer.
     """
     m = distances.shape[0]
     out_d = np.empty((m, k))
@@ -243,7 +244,7 @@ def _drop_self_matches_loop(distances, indices, k):
     positions = np.arange(distances.shape[1])
     for row in range(m):
         matches = np.flatnonzero(indices[row] == row)
-        drop = matches[0] if len(matches) else 0
+        drop = matches[0] if len(matches) else len(positions) - 1
         keep = positions != drop
         out_d[row] = distances[row, keep][:k]
         out_i[row] = indices[row, keep][:k]
