@@ -53,10 +53,10 @@ clean-pyc:
 # The serving benchmark: sweeps flush deadline vs throughput through
 # the async front end with concurrent producers, asserts prediction
 # parity + the headline speedup over per-query serving, then runs the
-# shard-worker sweep, the quantized uint8 scan, the learned-embedding
-# kNN, the chaos fault storm, the streaming-session harness and the
-# model-store cold-vs-warm restart leg, asserting each block's preset
-# floors, and writes BENCH_serve.json.
+# quantized uint8 scan, the learned-embedding kNN, the chaos overload
+# burst, the streaming-session harness and the model-store
+# cold-vs-warm restart leg, asserting each block's preset floors, and
+# writes BENCH_serve.json.
 serve-bench:
 	rm -rf /tmp/repro-model-store.bench
 	PYTHONPATH=src $(PYTHON) -m repro.cli serve-bench \
@@ -64,15 +64,13 @@ serve-bench:
 	rm -rf /tmp/repro-model-store.bench
 
 # Tiny-workload serve-bench: runs every block at smoke scale and
-# validates the emitted BENCH_serve.json (store restart leg and a
-# workers=2 multi-process leg included) without overwriting the real
-# trajectory; hooked into scripts/check_suite.sh so a broken serving
-# block fails `make check`.  The artifact is left in /tmp so CI can
-# upload it.
+# validates the emitted BENCH_serve.json (store restart leg included)
+# without overwriting the real trajectory; hooked into
+# scripts/check_suite.sh so a broken serving block fails `make check`.
+# The artifact is left in /tmp so CI can upload it.
 serve-bench-smoke:
 	rm -rf /tmp/repro-model-store.smoke /tmp/BENCH_serve.smoke.json
 	PYTHONPATH=src $(PYTHON) -m repro.cli serve-bench --preset smoke \
-		--workers 2 \
 		--store /tmp/repro-model-store.smoke \
 		--output /tmp/BENCH_serve.smoke.json
 	rm -rf /tmp/repro-model-store.smoke

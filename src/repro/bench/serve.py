@@ -11,14 +11,6 @@ headline deadline, and emits the ``BENCH_serve.json`` payload (schema
 :data:`SERVE_BENCH_SCHEMA`, validated by
 :func:`repro.bench.validate_bench_payload`).
 
-Since schema v3 every run also sweeps the **multi-process tier**: the
-headline deadline is measured once through the thread front end over a
-sharded ``knn`` estimator and once per ``--workers N`` count through a
-:class:`repro.serving.workers.ShardWorkerPool`, with per-leg parity vs
-the synchronous oracle and a req/s-vs-workers headline whose ≥2x floor
-is enforced whenever the machine has ≥2 cores and working shared
-memory.
-
 Run it via ``python -m repro.cli serve-bench`` or ``make serve-bench``;
 ``make serve-bench-smoke`` exercises a tiny workload and
 schema-validates the artifact as part of ``make check``.
@@ -36,14 +28,12 @@ import numpy as np
 #: Identifier (and version) of the emitted JSON payload.  Version 2
 #: added the optional ``store`` block (cold-fit vs warm-restart leg
 #: through the persistent model store); version 3 added the mandatory
-#: ``workers`` block (thread front end vs process-backed shard workers
-#: at the headline deadline, with a req/s-vs-workers headline);
-#: version 4 added the mandatory ``quant`` block (uint8 radio-map scan
-#: vs the monolithic float32 brute scan, with req/s, recall-at-k, and
-#: bytes-per-fingerprint floors); version 5 added the mandatory
-#: ``resilience`` block (chaos harness: availability under injected
-#: worker kills / heartbeat stalls / store corruption / slow batches,
-#: per-tenant shed fairness, circuit-breaker counters, with floors on
+#: ``workers`` block (thread front end vs process-backed shard
+#: workers); version 4 added the mandatory ``quant`` block (uint8
+#: radio-map scan vs the monolithic float32 brute scan, with req/s,
+#: recall-at-k, and bytes-per-fingerprint floors); version 5 added the
+#: mandatory ``resilience`` block (chaos harness: availability under
+#: injected faults, per-tenant shed fairness, with floors on
 #: availability, hung requests, and answered-request parity); version 6
 #: added the mandatory ``sessions`` block (streaming trajectory
 #: serving: concurrent tracks/sec through stateful per-user
@@ -52,8 +42,12 @@ import numpy as np
 #: checkpoint/restart recovery leg with a zero-lost-tracks floor);
 #: version 7 added the mandatory ``embed`` block (learned-embedding
 #: ``embed-knn`` serving vs raw-RSSI kNN on the same map, with req/s,
-#: position-error-ratio, and matched-recall floors).
-SERVE_BENCH_SCHEMA = "repro-serve-bench/7"
+#: position-error-ratio, and matched-recall floors); version 8 removed
+#: the ``workers`` block with the process tier it measured, and the
+#: ``resilience`` block became an overload burst plus slow batches
+#: through the in-process front end (no worker, pool, breaker or
+#: executor counters).
+SERVE_BENCH_SCHEMA = "repro-serve-bench/8"
 
 #: Schema-tag prefix shared by every serve-bench payload version; the
 #: validator dispatcher routes on it and rejects unknown versions.
@@ -109,17 +103,6 @@ class ServePreset:
     #: (the persistent model store's warm-start contract); 0 disables —
     #: the smoke workload's cold fit is too small for a stable ratio.
     store_min_speedup: float = 10.0
-    #: Worker counts swept by the multi-process block; 0 is the thread
-    #: front end the others are compared against (always included).
-    workers: "tuple[int, ...]" = (0, 2)
-    #: Floor asserted on best-worker-leg req/s over the thread leg —
-    #: but only when the machine actually has ≥ 2 cores and shared
-    #: memory (``floor_enforced`` in the emitted block); 0 disables.
-    workers_min_speedup: float = 2.0
-    #: Shards the workers block's estimator is fitted with (partitioned
-    #: across the worker processes; also the thread leg's index layout,
-    #: so the comparison isolates processes-vs-threads).
-    workers_shards: int = 4
     #: Radio map synthesized for the ``quant`` block, as
     #: ``generate_uji_like`` scale knobs — sized independently of the
     #: async workload because the quantization claim is about scans
@@ -190,30 +173,17 @@ class ServePreset:
     embed_min_recall_ratio: float = 0.95
     #: Chaos-harness knobs for the ``resilience`` block.  The chaos
     #: workload is sized independently of the throughput sweeps — it
-    #: validates *outcome accounting* under injected faults (every
-    #: request answered correctly, cleanly shed, or loudly failed),
-    #: not speed, so every preset shares seconds-scale defaults.
+    #: validates *outcome accounting* under overload and slow batches
+    #: (every request answered correctly, cleanly shed, or loudly
+    #: failed), not speed, so every preset shares seconds-scale defaults.
     chaos_queries: int = 480
-    chaos_workers: int = 2
-    chaos_kills: int = 4
-    chaos_stalls: int = 1
-    chaos_store_corruptions: int = 1
     #: Queue bound for the overload sub-phase; small enough that the
     #: single-threaded submission burst forces real shedding.
     chaos_max_pending: int = 32
-    #: Seeded fraction of fallback-path batches served slowly (latency
-    #: pressure without changing any prediction) and the stall length.
+    #: Seeded fraction of batches served slowly (latency pressure
+    #: without changing any prediction) and the stall length.
     chaos_delay_rate: float = 0.05
     chaos_delay_s: float = 0.01
-    #: SIGSTOP length; must exceed ``chaos_heartbeat_timeout_s`` so a
-    #: stalled worker is detected as wedged, not ridden out.
-    chaos_stall_s: float = 0.8
-    chaos_heartbeat_timeout_s: float = 0.4
-    #: Deliberately tight respawn token bucket: the kill storm is meant
-    #: to exhaust it so the circuit breaker trips and the front end
-    #: degrades to the thread path (the recovery story under test).
-    chaos_respawn_budget: int = 2
-    chaos_respawn_window_s: float = 20.0
     #: Floor asserted on (answered-correct + cleanly-shed) / submitted
     #: across the whole chaos run; 0 disables.
     chaos_min_availability: float = 0.99
@@ -253,9 +223,6 @@ PRESETS = {
         min_speedup=0.0,
         max_pending=64,
         store_min_speedup=0.0,
-        workers=(0, 2),
-        workers_min_speedup=0.0,
-        workers_shards=2,
         quant_spots_per_building=20,
         quant_measurements_per_spot=10,
         quant_aps_per_floor=3,
@@ -294,8 +261,6 @@ PRESETS = {
         min_speedup=5.0,
         max_pending=1024,
         repeats=3,
-        workers=(0, 1, 2),
-        workers_shards=4,
     ),
     "paper": ServePreset(
         name="paper",
@@ -310,8 +275,6 @@ PRESETS = {
         min_speedup=5.0,
         max_pending=4096,
         repeats=3,
-        workers=(0, 2, 4),
-        workers_shards=8,
         track_users=48,
         track_producers=8,
     ),
@@ -331,17 +294,14 @@ class ServeBenchResult:
     #: Cold-fit vs warm-restore comparison through the persistent model
     #: store (``--store``); None when the leg was not requested.
     store: "dict | None" = None
-    #: Thread front end vs process-backed shard workers at the headline
-    #: deadline (schema v3; always present in emitted payloads).
-    workers: dict = field(default_factory=dict)
     #: Quantized uint8 radio-map scan vs the monolithic float32 brute
     #: scan (schema v4; always present in emitted payloads).
     quant: dict = field(default_factory=dict)
     #: Learned-embedding ``embed-knn`` serving vs raw-RSSI kNN on the
     #: same map (schema v7; always present in emitted payloads).
     embed: dict = field(default_factory=dict)
-    #: Chaos harness: availability, shed fairness, and breaker/failover
-    #: counters under injected faults (schema v5; always present).
+    #: Chaos harness: availability and shed fairness under overload and
+    #: slow batches (schema v5; always present).
     resilience: dict = field(default_factory=dict)
     #: Streaming trajectory serving: concurrent tracks/sec, bitwise
     #: parity vs the offline single-session oracle, and the
@@ -372,7 +332,6 @@ class ServeBenchResult:
             "naive": dict(self.naive),
             "async": copy.deepcopy(self.legs),
             "headline": dict(self.headline),
-            "workers": copy.deepcopy(self.workers),
             "quant": copy.deepcopy(self.quant),
             "embed": copy.deepcopy(self.embed),
             "resilience": copy.deepcopy(self.resilience),
@@ -420,42 +379,6 @@ class ServeBenchResult:
                 f"{s['speedup']:.0f}x restart speedup "
                 f"(floor {s['min_speedup_asserted']:.1f}x), "
                 "prediction parity asserted vs the in-memory model"
-            )
-        if self.workers:
-            wb = self.workers
-            lines.append(
-                f"\nworkers: model={wb['model']!r} shards={wb['shards']} "
-                f"at a {wb['deadline_ms']:.0f} ms deadline "
-                f"(cpu_count={wb['cpu_count']}, "
-                f"shm={'yes' if wb['shm_available'] else 'no'})"
-            )
-            for leg in wb["legs"]:
-                label = (
-                    "threads"
-                    if leg["workers"] == 0
-                    else f"{leg['workers']} proc"
-                )
-                lines.append(
-                    f"  {label:>8}: {leg['seconds']:7.3f} s "
-                    f"({leg['requests_per_second']:9.0f} req/s, "
-                    f"respawns={leg['respawns']})"
-                )
-            head = wb["headline"]
-            speed = head["speedup_vs_threads"]
-            lines.append(
-                "  headline: "
-                + (
-                    "n/a (no worker leg ran)"
-                    if speed is None
-                    else f"{speed:.2f}x over the thread front end "
-                    f"with {head['workers']} workers"
-                )
-                + (
-                    f" — floor {head['min_speedup_asserted']:.1f}x enforced"
-                    if head["floor_enforced"]
-                    else " — floor not enforced "
-                    "(needs >=2 cores, shared memory, and a >=2-worker leg)"
-                )
             )
         if self.quant:
             q = self.quant
@@ -515,25 +438,13 @@ class ServeBenchResult:
             r = self.resilience
             f, o = r["faults"], r["outcomes"]
             lines.append(
-                f"\nresilience: {r['queries']} chaos queries through "
-                f"{r['workers']} workers "
-                f"(shm={'yes' if r['shm_available'] else 'no'}, "
-                f"max_pending={r['max_pending']})"
+                f"\nresilience: {r['queries']} chaos queries through the "
+                f"front end (max_pending={r['max_pending']})"
             )
-            lines.append(
-                f"  faults  : kills={f['kills']} stalls={f['stalls']} "
-                f"slot_corruptions={f['slot_corruptions']} "
-                f"store_corruptions={f['store_corruptions']} "
-                f"delayed_batches={f['delayed_batches']}"
-            )
+            lines.append(f"  faults  : delayed_batches={f['delayed_batches']}")
             lines.append(
                 f"  outcomes: answered={o['answered']} shed={o['shed']} "
-                f"failed={o['failed']} hung={o['hung']}; "
-                f"respawns={r['pool']['respawns']} "
-                f"heals={r['pool']['store_heals']} "
-                f"trips={r['breaker']['trips']} "
-                f"failovers={r['executor']['failovers']} "
-                f"(breaker now {r['breaker']['state']})"
+                f"failed={o['failed']} hung={o['hung']}"
             )
             head = r["headline"]
             lines.append(
@@ -592,20 +503,17 @@ def _async_leg(
     preset: ServePreset,
     batch_size: int,
     producers: int,
-    executor_factory=None,
 ) -> dict:
     """One deadline sweep point, median-of-``preset.repeats`` runs.
 
     Every run hammers a fresh front end and checks parity; the reported
     record is the run with the median elapsed time (scheduler-noise
-    shielding — see :class:`ServePreset`), counters included.  With
-    ``executor_factory`` each run's front end uses a fresh executor from
-    the factory (the workers block) instead of the thread path.
+    shielding — see :class:`ServePreset`), counters included.
     """
     runs = [
         _async_run(
             estimator, queries, oracle_xy, deadline_ms, preset, batch_size,
-            producers, executor_factory=executor_factory,
+            producers,
         )
         for _ in range(max(preset.repeats, 1))
     ]
@@ -621,27 +529,16 @@ def _async_run(
     preset: ServePreset,
     batch_size: int,
     producers: int,
-    executor_factory=None,
 ) -> dict:
     """One measured pass: producer threads through a fresh front end."""
     from repro.serving import ServingFrontend
 
-    if executor_factory is None:
-        frontend = ServingFrontend(
-            estimator,
-            batch_size=batch_size,
-            deadline_ms=deadline_ms,
-            max_pending=preset.max_pending,
-            overflow="block",
-        )
-    else:
-        frontend = ServingFrontend(
-            executor=executor_factory(),
-            batch_size=batch_size,
-            deadline_ms=deadline_ms,
-            max_pending=preset.max_pending,
-            overflow="block",
-        )
+    frontend = ServingFrontend(
+        estimator,
+        batch_size=batch_size,
+        deadline_ms=deadline_ms,
+        max_pending=preset.max_pending,
+    )
     tickets: "list" = [None] * len(queries)
     errors: "list[BaseException]" = []
 
@@ -796,145 +693,6 @@ def _store_leg(
         "parity_ok": parity_ok,
         "min_speedup_asserted": float(min_speedup),
     }
-
-
-#: Backend measured by the workers block: the shard workers serve the
-#: ``knn`` radio-map scan (the only backend with a sharded index).
-WORKERS_LEG_MODEL = "knn"
-
-
-def _workers_block(
-    config: ServePreset,
-    train,
-    queries: np.ndarray,
-    store_dir: "str | os.PathLike | None",
-    workers: "tuple[int, ...]",
-    min_speedup: float,
-    batch_size: int,
-    producers: int,
-    deadline_ms: float,
-) -> dict:
-    """Thread front end vs N shard-worker processes, same workload.
-
-    Fits a *sharded* ``knn`` estimator (through a store-backed cache,
-    which write-through-spills the artifact the workers warm-start
-    from), then measures the headline deadline once per worker count:
-    ``workers == 0`` is the plain thread front end over the very same
-    sharded estimator, ``workers > 0`` runs the batches through a
-    :class:`~repro.serving.workers.ShardWorkerPool` shared across the
-    leg's repeats.  Every leg asserts prediction parity against the
-    synchronous oracle; the headline ratio (best worker leg over the
-    thread leg) is asserted against ``min_speedup`` only when the
-    machine can actually express it — ≥ 2 cores, working shared
-    memory, and a ≥ 2-worker leg (``floor_enforced``).
-    """
-    import shutil
-    import tempfile
-
-    from repro.core.persistence import ModelStore
-    from repro.serving import ModelCache, dataset_fingerprint
-    from repro.serving.shm import shm_available
-    from repro.serving.workers import ShardWorkerPool, WorkerPoolExecutor
-
-    workers = tuple(sorted({int(w) for w in workers} | {0}))
-    if any(w < 0 for w in workers):
-        raise ValueError(f"worker counts must be >= 0, got {workers}")
-    available = shm_available()
-    cpu_count = os.cpu_count() or 1
-
-    cleanup_dir = None
-    if store_dir is None:
-        cleanup_dir = store_dir = tempfile.mkdtemp(
-            prefix="repro-serve-bench-workers-"
-        )
-    try:
-        store = ModelStore(store_dir)
-        fingerprint = dataset_fingerprint(train)
-        cache = ModelCache(capacity=2, store=store)
-        tic = time.perf_counter()
-        estimator = cache.get_or_fit(
-            WORKERS_LEG_MODEL,
-            train,
-            fingerprint=fingerprint,
-            shards=config.workers_shards,
-            partitioner="kmeans",
-        )
-        fit_seconds = time.perf_counter() - tic
-        oracle_xy = estimator.predict_batch(queries).coordinates
-
-        legs: "list[dict]" = []
-        for count in workers:
-            if count == 0:
-                leg = _async_leg(
-                    estimator, queries, oracle_xy, deadline_ms, config,
-                    batch_size, producers,
-                )
-                leg["respawns"] = 0
-            elif not available:
-                continue  # recorded via shm_available; thread leg stands
-            else:
-                with ShardWorkerPool(
-                    estimator,
-                    store,
-                    fingerprint=fingerprint,
-                    n_workers=count,
-                    max_rows=batch_size,
-                ) as pool:
-                    leg = _async_leg(
-                        estimator, queries, oracle_xy, deadline_ms, config,
-                        batch_size, producers,
-                        executor_factory=lambda: WorkerPoolExecutor(pool),
-                    )
-                    leg["respawns"] = int(pool.respawns)
-            del leg["deadline_ms"]  # block-level: one deadline for all legs
-            legs.append({"workers": int(count), **leg})
-
-        thread_leg = legs[0]
-        worker_legs = [leg for leg in legs if leg["workers"] > 0]
-        best = (
-            max(worker_legs, key=lambda leg: leg["requests_per_second"])
-            if worker_legs
-            else None
-        )
-        speedup = (
-            None
-            if best is None
-            else float(
-                best["requests_per_second"]
-                / thread_leg["requests_per_second"]
-            )
-        )
-        floor_enforced = bool(
-            min_speedup > 0
-            and available
-            and cpu_count >= 2
-            and any(leg["workers"] >= 2 for leg in worker_legs)
-        )
-        if floor_enforced and speedup < min_speedup:
-            raise ServeSpeedupError(
-                f"process-backed serving is only {speedup:.2f}x the thread "
-                f"front end at the {deadline_ms:.0f} ms deadline, below "
-                f"the asserted minimum {min_speedup:.2f}x "
-                f"(cpu_count={cpu_count})"
-            )
-        return {
-            "model": WORKERS_LEG_MODEL,
-            "shards": int(config.workers_shards),
-            "deadline_ms": float(deadline_ms),
-            "fit_seconds": float(fit_seconds),
-            "cpu_count": int(cpu_count),
-            "shm_available": bool(available),
-            "legs": legs,
-            "headline": {
-                "workers": None if best is None else int(best["workers"]),
-                "speedup_vs_threads": speedup,
-                "min_speedup_asserted": float(min_speedup),
-                "floor_enforced": floor_enforced,
-            },
-        }
-    finally:
-        if cleanup_dir is not None:
-            shutil.rmtree(cleanup_dir, ignore_errors=True)
 
 
 def _median_seconds(fn, repeats: int) -> "tuple[float, object]":
@@ -1281,8 +1039,7 @@ def _embed_block(config: ServePreset, seed: int, min_speedup: float) -> dict:
     }
 
 
-#: Backend the chaos harness serves (sharded, so the worker tier — the
-#: fault surface under test — actually runs).
+#: Backend the chaos harness serves.
 CHAOS_LEG_MODEL = "knn"
 
 
@@ -1293,60 +1050,30 @@ def _resilience_block(
     seed: int,
     min_availability: float,
 ) -> dict:
-    """Chaos harness: the serving tier under a seeded fault storm.
+    """Chaos harness: the front end under overload and slow batches.
 
-    Runs the preset's chaos workload through a fully armored front end
-    — :class:`~repro.serving.resilience.FairShedAdmission` load
-    shedding, a :class:`~repro.serving.resilience.CircuitBreaker`-gated
-    :class:`~repro.serving.resilience.FallbackExecutor` degrading the
-    shard-worker tier to the in-process thread path — while a seeded
-    :class:`~repro.serving.faults.FaultInjector` kills workers, stalls
-    heartbeats (SIGSTOP past the heartbeat timeout), corrupts a store
-    artifact mid-run (forcing the quarantine + warm-start self-heal
-    path on the next respawn), smashes result-ring slots, and slows a
-    fraction of fallback batches.
+    Serves the preset's chaos workload through a front end armored with
+    :class:`~repro.serving.resilience.FairShedAdmission` load shedding,
+    whose batches run through a seeded
+    :class:`~repro.serving.faults.DelayedEstimator` that slows a
+    fraction of them without changing any prediction.
 
-    Two sub-phases share one front end and one outcome ledger:
-
-    1. **overload** — a single-threaded submission burst of half the
-       chaos queries against a small ``chaos_max_pending`` bound, with
-       a hot tenant offering ~10x each light tenant's load; exercises
-       weighted-fair shedding (the hot tenant absorbs the evictions).
-    2. **fault waves** — the remaining queries in waves, one injected
-       fault per wave, each wave drained before the next fault lands
-       so recovery is actually exercised, not skipped.  The respawn
-       token bucket is deliberately tight (``chaos_respawn_budget``),
-       so the kill storm exhausts it, batches fail over to the thread
-       path, and the breaker trips — the degradation chain end to end.
+    The load is one single-threaded submission burst of the chaos
+    queries against a small ``chaos_max_pending`` bound, with a hot
+    tenant offering ~10x each light tenant's load — weighted-fair
+    shedding makes the hot tenant absorb the evictions — followed by a
+    draining ``close``.
 
     Every submitted request must end answered-with-parity or cleanly
     shed: raises :class:`ServeParityError` on any hung ticket or
     oracle divergence and :class:`ServeSpeedupError` when availability
-    falls below ``min_availability``.  Without shared memory the storm
-    degrades to the thread path alone (process faults skipped,
-    recorded via ``shm_available``); the floors still apply.
+    falls below ``min_availability``.
     """
-    import shutil
-    import tempfile
+    from repro.serving.faults import DelayedEstimator
+    from repro.serving.frontend import ServingFrontend, ShedError
+    from repro.serving.registry import create
+    from repro.serving.resilience import FairShedAdmission
 
-    from repro.core.persistence import ModelStore
-    from repro.serving import ModelCache, dataset_fingerprint
-    from repro.serving.batcher import MicroBatcher
-    from repro.serving.faults import DelayedEstimator, FaultInjector
-    from repro.serving.frontend import (
-        ServingFrontend,
-        ShedError,
-        _BatcherExecutor,
-    )
-    from repro.serving.resilience import (
-        CircuitBreaker,
-        FairShedAdmission,
-        FallbackExecutor,
-    )
-    from repro.serving.shm import shm_available
-    from repro.serving.workers import ShardWorkerPool, WorkerPoolExecutor
-
-    available = shm_available()
     rng = np.random.default_rng(seed + 7)
     n_queries = int(config.chaos_queries)
     chaos_q = queries[rng.integers(0, len(queries), size=n_queries)]
@@ -1355,229 +1082,103 @@ def _resilience_block(
     tenant_of = [
         "hot" if i % 13 < 10 else f"light{i % 3}" for i in range(n_queries)
     ]
+    estimator = create(CHAOS_LEG_MODEL).fit(train)
+    oracle_xy = estimator.predict_batch(chaos_q).coordinates
+    delayed = DelayedEstimator(
+        estimator,
+        rate=config.chaos_delay_rate,
+        delay_s=config.chaos_delay_s,
+        seed=seed,
+    )
+    frontend = ServingFrontend(
+        delayed,
+        batch_size=config.batch_size,
+        deadline_ms=10.0,
+        max_pending=config.chaos_max_pending,
+        admission=FairShedAdmission(),
+    )
 
-    cleanup_dir = tempfile.mkdtemp(prefix="repro-serve-bench-chaos-")
-    pool = None
-    injector = FaultInjector(seed=seed, stall_s=config.chaos_stall_s)
-    try:
-        store = ModelStore(cleanup_dir)
-        fingerprint = dataset_fingerprint(train)
-        cache = ModelCache(capacity=2, store=store)
-        estimator = cache.get_or_fit(
-            CHAOS_LEG_MODEL,
-            train,
-            fingerprint=fingerprint,
-            shards=config.workers_shards,
-            partitioner="kmeans",
-        )
-        oracle_xy = estimator.predict_batch(chaos_q).coordinates
+    outcomes = {"answered": 0, "shed": 0, "failed": 0, "hung": 0}
+    tickets: "list[tuple[int, object]]" = []
+    for i in range(n_queries):
+        try:
+            tickets.append((i, frontend.submit(chaos_q[i], tenant=tenant_of[i])))
+        except ShedError:
+            outcomes["shed"] += 1
+    frontend.close(drain=True)
 
-        breaker = CircuitBreaker(
-            failure_budget=2,
-            window_s=4.0,
-            cooldown_s=0.25,
-            cooldown_cap_s=1.0,
-            seed=seed,
-        )
-        delayed = DelayedEstimator(
-            estimator,
-            rate=config.chaos_delay_rate,
-            delay_s=config.chaos_delay_s,
-            seed=seed,
-        )
-        fallback = _BatcherExecutor(
-            MicroBatcher(delayed, batch_size=config.batch_size)
-        )
-        if available:
-            pool = ShardWorkerPool(
-                estimator,
-                store,
-                fingerprint=fingerprint,
-                n_workers=config.chaos_workers,
-                max_rows=config.batch_size,
-                heartbeat_timeout_s=config.chaos_heartbeat_timeout_s,
-                respawn_budget=config.chaos_respawn_budget,
-                respawn_window_s=config.chaos_respawn_window_s,
-                seed=seed,
-            )
-            executor = FallbackExecutor(
-                WorkerPoolExecutor(pool), fallback, breaker=breaker
-            )
+    mismatches = 0
+    for i, ticket in tickets:
+        if not ticket.done:
+            outcomes["hung"] += 1
+            continue
+        try:
+            xy = ticket.result().coordinates[0]
+        except ShedError:  # evicted by fair shedding after admission
+            outcomes["shed"] += 1
+        except Exception:
+            outcomes["failed"] += 1
         else:
-            executor = fallback
-        frontend = ServingFrontend(
-            executor=executor,
-            batch_size=config.batch_size,
-            deadline_ms=10.0,
-            max_pending=config.chaos_max_pending,
-            admission=FairShedAdmission(),
+            outcomes["answered"] += 1
+            if not np.allclose(xy, oracle_xy[i], rtol=0.0, atol=1e-9):
+                mismatches += 1
+
+    stats = frontend.stats()
+    shed_rates = {}
+    for tenant, pane in sorted(stats.tenants.items()):
+        total = pane.admitted + pane.shed
+        shed_rates[tenant] = float(pane.shed) / total if total else 0.0
+    hot_rate = shed_rates.get("hot", 0.0)
+    light_rates = [
+        rate for tenant, rate in shed_rates.items() if tenant != "hot"
+    ]
+    light_rate = min(light_rates) if light_rates else 0.0
+    fairness_ok = all(rate <= hot_rate + 1e-9 for rate in light_rates)
+
+    availability = (
+        outcomes["answered"] - mismatches + outcomes["shed"]
+    ) / max(n_queries, 1)
+    parity_ok = mismatches == 0
+    if outcomes["hung"]:
+        raise ServeParityError(
+            f"{outcomes['hung']} chaos requests never resolved (hung "
+            "tickets after drain-close)"
         )
-
-        outcomes = {"answered": 0, "shed": 0, "failed": 0, "hung": 0}
-        tickets: "list[tuple[int, object]]" = []
-
-        def submit_range(indices) -> None:
-            for i in indices:
-                try:
-                    tickets.append(
-                        (i, frontend.submit(chaos_q[i], tenant=tenant_of[i]))
-                    )
-                except ShedError:
-                    outcomes["shed"] += 1
-
-        def drain(budget_s: float = 60.0) -> None:
-            limit = time.monotonic() + budget_s
-            while time.monotonic() < limit:
-                injector.resume_stalled()
-                if all(ticket.done for _, ticket in tickets):
-                    return
-                time.sleep(0.01)
-
-        # phase 1: overload burst — fairness under pressure, no faults
-        overload_n = n_queries // 2
-        submit_range(range(overload_n))
-
-        # phase 2: fault waves over the remaining queries.  Stalls and
-        # the store corruption come before the kill storm: a stall needs
-        # a live worker to freeze, and corrupting the artifact first
-        # makes the very next respawn warm-start through it (quarantine
-        # + self-heal) while respawn tokens are still available.
-        plan: "list[str | None]" = (
-            ["stall"] * int(config.chaos_stalls)
-            + ["corrupt_store"] * int(config.chaos_store_corruptions)
-            + ["kill"] * int(config.chaos_kills)
-            + [None]  # recovery wave: no fault, just traffic
+    if not parity_ok:
+        raise ServeParityError(
+            f"{mismatches} answered chaos requests diverge from the "
+            "synchronous oracle"
         )
-        if pool is None:
-            plan = [None]
-        wave = max(1, (n_queries - overload_n) // len(plan))
-        cursor = overload_n
-        for step, fault in enumerate(plan):
-            if fault == "kill":
-                injector.kill_worker(pool)
-                injector.corrupt_result_slot(pool)  # best-effort slot rot
-            elif fault == "stall":
-                injector.stall_worker(pool)
-            elif fault == "corrupt_store":
-                injector.corrupt_store_artifact(store)
-            stop = n_queries if step == len(plan) - 1 else cursor + wave
-            submit_range(range(cursor, stop))
-            cursor = stop
-            drain()
-
-        injector.resume_stalled(force=True)
-        frontend.close(drain=True)
-
-        mismatches = 0
-        for i, ticket in tickets:
-            if not ticket.done:
-                outcomes["hung"] += 1
-                continue
-            try:
-                xy = ticket.result().coordinates[0]
-            except ShedError:  # evicted by fair shedding after admission
-                outcomes["shed"] += 1
-            except Exception:
-                outcomes["failed"] += 1
-            else:
-                outcomes["answered"] += 1
-                if not np.allclose(xy, oracle_xy[i], rtol=0.0, atol=1e-9):
-                    mismatches += 1
-
-        stats = frontend.stats()
-        shed_rates = {}
-        for tenant, counters in sorted(stats.tenants.items()):
-            total = counters["admitted"] + counters["shed"]
-            shed_rates[tenant] = (
-                float(counters["shed"]) / total if total else 0.0
-            )
-        hot_rate = shed_rates.get("hot", 0.0)
-        light_rates = [
-            rate for tenant, rate in shed_rates.items() if tenant != "hot"
-        ]
-        light_rate = min(light_rates) if light_rates else 0.0
-        fairness_ok = all(rate <= hot_rate + 1e-9 for rate in light_rates)
-
-        availability = (
-            outcomes["answered"] - mismatches + outcomes["shed"]
-        ) / max(n_queries, 1)
-        parity_ok = mismatches == 0
-        if outcomes["hung"]:
-            raise ServeParityError(
-                f"{outcomes['hung']} chaos requests never resolved (hung "
-                "tickets after drain-close)"
-            )
-        if not parity_ok:
-            raise ServeParityError(
-                f"{mismatches} answered chaos requests diverge from the "
-                "synchronous oracle"
-            )
-        if min_availability > 0 and availability < min_availability:
-            raise ServeSpeedupError(
-                f"availability under injected faults is {availability:.4f}, "
-                f"below the asserted minimum {min_availability:.2f} "
-                f"(failed={outcomes['failed']}, shed={outcomes['shed']})"
-            )
-        return {
-            "model": CHAOS_LEG_MODEL,
-            "workers": int(config.chaos_workers) if available else 0,
-            "shards": int(config.workers_shards),
-            "shm_available": bool(available),
-            "queries": int(n_queries),
-            "max_pending": int(config.chaos_max_pending),
-            "faults": {
-                "kills": int(injector.kills),
-                "stalls": int(injector.stalls),
-                "slot_corruptions": int(injector.slot_corruptions),
-                "store_corruptions": int(injector.store_corruptions),
-                "delayed_batches": int(delayed.n_delays),
-            },
-            "outcomes": dict(outcomes),
+    if min_availability > 0 and availability < min_availability:
+        raise ServeSpeedupError(
+            f"availability under injected faults is {availability:.4f}, "
+            f"below the asserted minimum {min_availability:.2f} "
+            f"(failed={outcomes['failed']}, shed={outcomes['shed']})"
+        )
+    return {
+        "model": CHAOS_LEG_MODEL,
+        "queries": int(n_queries),
+        "max_pending": int(config.chaos_max_pending),
+        "faults": {"delayed_batches": int(delayed.n_delays)},
+        "outcomes": dict(outcomes),
+        "availability": float(availability),
+        "parity_ok": parity_ok,
+        "shed": {
+            "rates": shed_rates,
+            "hot_rate": float(hot_rate),
+            "light_rate": float(light_rate),
+            "fairness_ok": bool(fairness_ok),
+        },
+        "headline": {
             "availability": float(availability),
+            "min_availability_asserted": float(min_availability),
+            "hung": int(outcomes["hung"]),
+            "failed": int(outcomes["failed"]),
             "parity_ok": parity_ok,
-            "pool": {
-                "respawns": 0 if pool is None else int(pool.respawns),
-                "corrupt_slots": (
-                    0 if pool is None else int(pool.n_corrupt_slots)
-                ),
-                "store_heals": (
-                    0 if pool is None else int(pool.n_store_heals)
-                ),
-            },
-            "breaker": {
-                "state": breaker.state,
-                "trips": int(breaker.n_trips),
-            },
-            "executor": {
-                "failovers": int(getattr(executor, "n_failovers", 0)),
-                "primary_batches": int(
-                    getattr(executor, "n_primary_batches", 0)
-                ),
-                "fallback_batches": int(
-                    getattr(executor, "n_fallback_batches", 0)
-                ),
-            },
-            "shed": {
-                "rates": shed_rates,
-                "hot_rate": float(hot_rate),
-                "light_rate": float(light_rate),
-                "fairness_ok": bool(fairness_ok),
-            },
-            "headline": {
-                "availability": float(availability),
-                "min_availability_asserted": float(min_availability),
-                "hung": int(outcomes["hung"]),
-                "failed": int(outcomes["failed"]),
-                "parity_ok": parity_ok,
-                "fairness_ok": bool(fairness_ok),
-                "floor_enforced": bool(min_availability > 0),
-            },
-        }
-    finally:
-        injector.resume_stalled(force=True)
-        if pool is not None:
-            pool.close()
-        shutil.rmtree(cleanup_dir, ignore_errors=True)
+            "fairness_ok": bool(fairness_ok),
+            "floor_enforced": bool(min_availability > 0),
+        },
+    }
 
 
 def _sessions_block(
@@ -1804,8 +1405,6 @@ def run_serve_bench(
     min_speedup: "float | None" = None,
     store_dir: "str | os.PathLike | None" = None,
     store_min_speedup: "float | None" = None,
-    workers: "tuple[int, ...] | None" = None,
-    workers_min_speedup: "float | None" = None,
     quant_min_speedup: "float | None" = None,
     embed_min_speedup: "float | None" = None,
     chaos_min_availability: "float | None" = None,
@@ -1822,12 +1421,7 @@ def run_serve_bench(
     restore of the ``noble`` backend through a
     :class:`repro.core.persistence.ModelStore` at that directory,
     asserting prediction parity and a ``store_min_speedup`` floor
-    (preset default 10x).  The ``workers`` sweep (preset default; 0 =
-    the thread front end baseline) always runs and lands in the
-    payload's ``workers`` block, asserting per-leg parity and — on
-    machines with ≥ 2 cores and working shared memory — a
-    ``workers_min_speedup`` throughput floor of the process tier over
-    the thread tier.  The ``quant`` block (schema v4) always runs too:
+    (preset default 10x).  The ``quant`` block (schema v4) always runs:
     it benchmarks the uint8 radio-map scan against the monolithic
     float32 brute scan on the preset's quant-scale map, asserting
     ``quant_min_speedup`` (preset default; 0 disables) plus the
@@ -1837,12 +1431,11 @@ def run_serve_bench(
     ``embed-knn`` backends fitted on one map, asserting an
     ``embed_min_speedup`` req/s floor (preset default; 0 disables)
     at matched location-recall@k, plus the preset's position-error
-    ceiling.  The ``resilience`` block (schema v5) always runs as well: a seeded
-    chaos storm (worker kills, heartbeat stalls, shm-slot and
-    store-artifact corruption, slow batches) against the self-protecting
-    front end, asserting zero hung requests, parity on every answered
-    request, and a ``chaos_min_availability`` floor (preset default; 0
-    disables).  The ``sessions`` block (schema v6) always runs last:
+    ceiling.  The ``resilience`` block (schema v5) always runs as well:
+    a seeded overload burst with slow batches against the
+    fair-shedding front end, asserting zero hung requests, parity on
+    every answered request, and a ``chaos_min_availability`` floor
+    (preset default; 0 disables).  The ``sessions`` block (schema v6) always runs last:
     streaming trajectory serving through stateful per-user
     TrackingSessions, asserting bitwise parity of every served tick
     against the offline single-session oracle (RMSE delta exactly
@@ -1935,21 +1528,6 @@ def run_serve_bench(
             f"{headline_deadline:.0f} ms deadline is below the asserted "
             f"minimum {min_speedup:.2f}x"
         )
-    if workers is None:
-        workers = config.workers
-    if workers_min_speedup is None:
-        workers_min_speedup = config.workers_min_speedup
-    result.workers = _workers_block(
-        config,
-        train,
-        queries,
-        store_dir,
-        tuple(workers),
-        float(workers_min_speedup),
-        batch_size,
-        producers,
-        headline_deadline,
-    )
     if quant_min_speedup is None:
         quant_min_speedup = config.quant_min_speedup
     result.quant = _quant_block(config, seed, float(quant_min_speedup))
@@ -1980,9 +1558,7 @@ def validate_serve_bench_payload(payload: dict) -> None:
     schema tag, workload and naive-baseline blocks, at least one async
     leg with complete fields and parity, a headline block whose
     ``async_speedup`` clears a positive ``min_speedup_asserted``, the
-    mandatory ``workers`` block (thread-baseline leg first, per-leg
-    parity, floor satisfied whenever ``floor_enforced``), the mandatory
-    ``quant`` block (speedup floor whenever ``floor_enforced``, recall
+    mandatory ``quant`` block (speedup floor whenever ``floor_enforced``, recall
     floor and bytes-ratio ceiling whenever positive), the mandatory
     ``embed`` block (speedup floor whenever ``floor_enforced``,
     error-ratio ceiling and recall-ratio floor whenever positive), the
@@ -2085,7 +1661,7 @@ def validate_serve_bench_payload(payload: dict) -> None:
         )
     for key in (
         "preset", "seed", "workload", "naive", "async", "headline",
-        "workers", "quant", "embed", "resilience", "sessions",
+        "quant", "embed", "resilience", "sessions",
     ):
         if key not in payload:
             problems.append(f"missing top-level key {key!r}")
@@ -2104,27 +1680,6 @@ def validate_serve_bench_payload(payload: dict) -> None:
         require(head, "headline",
                 "deadline_ms", "async_speedup", "min_speedup_asserted")
         bound(head, "headline", "async_speedup", "min_speedup_asserted")
-
-    workers = child(payload, "workers")
-    if workers is not None:
-        typed(workers, "workers", str, "model")
-        typed(workers, "workers", int, "shards", "cpu_count")
-        typed(workers, "workers", bool, "shm_available")
-        typed(workers, "workers", float, "deadline_ms")
-        wlegs = legs(workers.get("legs"), "workers.legs", {
-            "workers": int, "seconds": float, "requests_per_second": float,
-            "n_batches": int, "mean_batch_fill": float, "n_timeouts": int,
-            "mean_latency_ms": float, "p95_latency_ms": float, "respawns": int,
-        })
-        if wlegs and (not isinstance(wlegs[0], dict) or wlegs[0].get("workers") != 0):
-            problems.append(
-                "workers.legs[0] must be the thread baseline (workers=0)"
-            )
-        whead = headline(workers, "workers",
-                         "workers", "speedup_vs_threads", "min_speedup_asserted")
-        if whead is not None:
-            bound(whead, "workers.headline", "speedup_vs_threads",
-                  "min_speedup_asserted", enforced=True)
 
     quant = child(payload, "quant")
     if quant is not None:
@@ -2173,14 +1728,11 @@ def validate_serve_bench_payload(payload: dict) -> None:
 
     resilience = child(payload, "resilience")
     if resilience is not None:
-        typed(resilience, "resilience", int,
-              "workers", "shards", "queries", "max_pending")
-        typed(resilience, "resilience", bool, "shm_available")
+        typed(resilience, "resilience", int, "queries", "max_pending")
         typed(resilience, "resilience", float, "availability")
         faults = child(resilience, "resilience.faults")
         if faults is not None:
-            typed(faults, "resilience.faults", int, "kills", "stalls",
-                  "slot_corruptions", "store_corruptions", "delayed_batches")
+            typed(faults, "resilience.faults", int, "delayed_batches")
         outcomes = child(resilience, "resilience.outcomes")
         if outcomes is not None:
             typed(outcomes, "resilience.outcomes", int,

@@ -22,7 +22,7 @@ seconds-scale schema check for the benches that emit JSON artifacts
 :class:`repro.serving.ServingFrontend` — concurrent producer threads,
 micro-batches drained on a latency deadline — sweeping deadline vs
 throughput and asserting prediction parity with the synchronous path,
-then runs the shard-worker, quantized-scan, learned-embedding, chaos and
+then runs the quantized-scan, learned-embedding, chaos and
 streaming-session blocks, and writes the ``BENCH_serve.json`` trajectory
 artifact.  With ``--store DIR`` it additionally measures the cold-start
 vs warm-start restart leg through the persistent model store at ``DIR``.
@@ -94,13 +94,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "--producers", type=int, default=None,
         help="concurrent producer threads for serve-bench "
              "(default: the preset's)",
-    )
-    parser.add_argument(
-        "--workers", default=None,
-        help="comma-separated shard-worker process counts for the "
-             "serve-bench multi-process sweep (0 = thread "
-             "front end, always included; default: the preset's, "
-             "e.g. 0,1,2)",
     )
     parser.add_argument(
         "--points", type=int, default=None,
@@ -304,9 +297,8 @@ def run_serve_bench(args) -> None:
     threads, asserts per-leg prediction parity against the synchronous
     path and a minimum headline speedup over naive per-query serving,
     then runs every serving block of :func:`repro.bench.run_serve_bench`
-    — the multi-process shard-worker sweep (``--workers``, preset
-    default), the quantized scan, the learned-embedding kNN, the chaos
-    storm and the streaming sessions — prints the report, and writes the
+    — the quantized scan, the learned-embedding kNN, the chaos storm
+    and the streaming sessions — prints the report, and writes the
     perf-trajectory artifact (schema-validated before writing).
     """
     import json
@@ -327,17 +319,6 @@ def run_serve_bench(args) -> None:
                 f"serve-bench: --deadlines must be comma-separated numbers, "
                 f"got {args.deadlines!r}"
             ) from None
-    workers = None
-    if args.workers is not None:
-        try:
-            workers = tuple(
-                int(w) for w in args.workers.split(",") if w.strip()
-            )
-        except ValueError:
-            raise SystemExit(
-                f"serve-bench: --workers must be comma-separated integers, "
-                f"got {args.workers!r}"
-            ) from None
     try:
         result = bench(
             preset=args.preset,
@@ -348,7 +329,6 @@ def run_serve_bench(args) -> None:
             producers=args.producers,
             min_speedup=args.min_speedup,
             store_dir=args.store,
-            workers=workers,
         )
     except (ValueError, AssertionError) as error:
         raise SystemExit(f"serve-bench: {error}") from None

@@ -791,8 +791,7 @@ class ModelStore:
     ``os.replace``), so a crashed writer never leaves a half-written
     artifact under a live key.  Safe across threads *and processes*:
     concurrent puts of the same key write disjoint temp files and
-    last-write-win with an intact artifact either way — the contract
-    the multi-process serving tier's warm-start path relies on.
+    last-write-win with an intact artifact either way.
     """
 
     def __init__(

@@ -128,6 +128,11 @@ class NCAEmbedder:
         self.objective_history_: "list[float]" = []
 
     @property
+    def n_features_in_(self) -> "int | None":
+        """Input width of the fitted projection (None before ``fit``)."""
+        return None if self.mean_ is None else len(self.mean_)
+
+    @property
     def params(self) -> dict:
         """Constructor kwargs that rebuild this configuration exactly."""
         return {

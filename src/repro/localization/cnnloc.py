@@ -93,6 +93,11 @@ class CNNLocWifi:
         self.coord_std_: "np.ndarray | None" = None
         self.history_: "TrainingHistory | None" = None
 
+    @property
+    def n_features_in_(self) -> "int | None":
+        """Signal width the network was built for (None before ``fit``)."""
+        return None if self.model_ is None else self.model_[0].in_features
+
     def fit(self, dataset: FingerprintDataset) -> "CNNLocWifi":
         rng = ensure_rng(self.seed)
         signals = dataset.normalized_signals()

@@ -64,6 +64,15 @@ class KNNFingerprinting:
         self.building_: "np.ndarray | None" = None
         self.floor_: "np.ndarray | None" = None
 
+    @property
+    def n_features_in_(self) -> "int | None":
+        """Raw signal width of the fitted map (None before ``fit``)."""
+        if self.index_ is None:
+            return None
+        if self.embedder is not None:
+            return self.embedder.n_features_in_
+        return self.index_.n_features
+
     def fit(self, dataset: FingerprintDataset) -> "KNNFingerprinting":
         if len(dataset) < self.k:
             raise ValueError(
@@ -129,28 +138,6 @@ class KNNFingerprinting:
         """
         check_fitted(self, "index_")
         distances, indices = self.index_.query(self._signals(dataset), k=self.k)
-        building, floor = self._labels_from(indices)
-        return self._coordinates_from(distances, indices), building, floor
-
-    def predict_from_neighbors(
-        self, distances: np.ndarray, indices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(coordinates, building, floor) from precomputed neighbor sets.
-
-        The reduce step of the multi-process serving tier: worker
-        processes return merged top-k ``(distances, indices)`` against
-        the fitted radio map, and this computes exactly what
-        :meth:`predict_full` would have from the same neighbor sets —
-        inverse-distance-weighted position plus majority-vote labels.
-        """
-        check_fitted(self, "index_")
-        distances = np.asarray(distances, dtype=float)
-        indices = np.asarray(indices, dtype=int)
-        if distances.shape != indices.shape or distances.ndim != 2:
-            raise ValueError(
-                f"distances and indices must be matching (N, k) arrays, got "
-                f"{distances.shape} and {indices.shape}"
-            )
         building, floor = self._labels_from(indices)
         return self._coordinates_from(distances, indices), building, floor
 

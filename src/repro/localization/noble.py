@@ -148,6 +148,11 @@ class NObLeWifi:
         self.history_: "TrainingHistory | None" = None
         self.fine_class_building_: "np.ndarray | None" = None
 
+    @property
+    def n_features_in_(self) -> "int | None":
+        """Signal width the network was built for (None before ``fit``)."""
+        return None if self.model_ is None else self.model_[0].in_features
+
     # --------------------------------------------------------------- training
     def fit(self, dataset: FingerprintDataset) -> "NObLeWifi":
         rng = ensure_rng(self.seed)

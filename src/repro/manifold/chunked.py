@@ -23,7 +23,7 @@ so no ``(M, N)`` buffer ever exists.
   drops later points at an equal distance, and a tile whose k-th value
   is tied falls back to a full ordering of that row.  The answer is the
   one a stable argsort of the full distance matrix gives, whatever the
-  tile layout, shard split or worker count.
+  tile layout or shard split.
 
 :func:`chunked_radius_neighbors` uses the same tiles; its per-tile
 reduction is an in-radius mask.
@@ -158,8 +158,8 @@ def tie_ordered_top_k(
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Per row, the ``k`` smallest ``(distance, index)`` pairs, in that order.
 
-    The one neighbor merge of the package — the kernel's tile merge, the
-    sharded index's shard merge and the worker tier's reduce.  Among
+    The one neighbor merge of the package — the kernel's tile merge and
+    the sharded index's shard merge.  Among
     equal distances the lowest index wins, both for membership at the
     k-th distance and for order within the row.  ``dist`` and ``idx``
     are ``(M, C)`` candidate matrices in any column order (``idx`` may

@@ -41,6 +41,11 @@ class RandomForestRegressor:
         self.trees_: "list[DecisionTreeRegressor] | None" = None
         self.oob_error_: "float | None" = None
 
+    @property
+    def n_features_in_(self) -> "int | None":
+        """Feature width the trees were grown on (None before ``fit``)."""
+        return self.trees_[0].n_features_ if self.trees_ else None
+
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         x = check_2d(x, "x")
         y = np.asarray(y, dtype=float)

@@ -48,6 +48,11 @@ class KNNRegressor:
         self.targets_: "np.ndarray | None" = None
         self._squeeze = False
 
+    @property
+    def n_features_in_(self) -> "int | None":
+        """Feature width of the fitted map (None before ``fit``)."""
+        return None if self.index_ is None else self.index_.n_features
+
     def fit(self, x: np.ndarray, y: np.ndarray) -> "KNNRegressor":
         x = check_2d(x, "x")
         y = np.asarray(y, dtype=float)

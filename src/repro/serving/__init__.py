@@ -29,20 +29,15 @@ The production-facing seam of the repo.  Four pieces compose:
     :class:`ServingFrontend`, the asynchronous front end: a worker
     thread drains the batcher with deadline-based flush (a partial
     batch goes out when its oldest request's latency budget expires),
-    bounded-queue backpressure (``block`` or ``reject``), per-request
-    timeouts, and deterministic drain-or-cancel shutdown.
+    bounded-queue backpressure under a pluggable admission policy,
+    per-request timeouts, boundary validation (wrong-width and
+    non-finite rows are refused at ``submit``), and deterministic
+    drain-or-cancel shutdown.
 ``store`` (re-exported from :mod:`repro.core.persistence`)
     :class:`ModelStore`, the persistent spill tier: versioned on-disk
     artifacts (``save_estimator``/``load_estimator``) keyed like the
     cache, so ``ModelCache(store=ModelStore(dir))`` warm-starts a
     restarted process from disk instead of re-fitting every model.
-``workers`` / ``shm``
-    The multi-process execution tier: :class:`ShardWorkerPool` scatters
-    each micro-batch to N shard-worker processes over shared-memory
-    ring buffers and merges their per-shard top-k exactly; plugged into
-    the front end via ``executor=`` (:class:`WorkerPoolExecutor`) or
-    all at once with :func:`make_worker_frontend`, which falls back to
-    the thread path when ``workers=0`` or shared memory is unavailable.
 ``sessions``
     The stateful streaming tier: :class:`SessionManager` owns one
     :class:`TrackingSession` per user (any :class:`SessionTracker`
@@ -63,34 +58,19 @@ The production-facing seam of the repo.  Four pieces compose:
     The self-protection layer and the chaos harness that proves it:
     pluggable :class:`AdmissionPolicy` load shedding on the front end
     (:class:`FairShedAdmission` — per-tenant weighted-fair shedding
-    with deadline-aware early reject), :class:`CircuitBreaker` +
-    :class:`FallbackExecutor` degrading an unhealthy worker tier to the
-    thread path (and probing it back), :class:`RetryPolicy` for
-    transient store/dispatch failures, and a seeded
-    :class:`FaultInjector` (worker kills, heartbeat stalls, shm slot
-    and store-artifact corruption) driving the ``resilience`` block of
-    ``python -m repro.cli serve-bench``.
+    with deadline-aware early reject), :class:`RetryPolicy` for
+    transient store write failures, a :class:`DelayedEstimator` for
+    seeded slow batches (the ``resilience`` block of ``python -m
+    repro.cli serve-bench`` runs its overload burst through one), and
+    a seeded :class:`FaultInjector` corrupting store artifacts.
 
-Spawn-vs-fork policy
---------------------
-Worker processes are started with the **spawn** method, never fork:
-
-* a forked child inherits every lock, condition variable, and
-  in-flight event of the parent at the instant of the fork — with the
-  owning threads gone, any of them can deadlock the child.  A spawned
-  worker begins from a clean interpreter and warm-starts its model
-  from the :class:`ModelStore` artifact instead (milliseconds, since
-  PR 5 artifacts carry the finished shard state).
-* spawn keeps worker memory disjoint by construction, so the only
-  shared state is the explicitly designed shared-memory channel of
-  :mod:`repro.serving.shm`.
-
-Code that *does* fork around serving objects (e.g. a preforking web
-server holding a :class:`ModelCache`) is still protected where it
-matters: the cache registers an ``os.register_at_fork`` hook that
-gives children a fresh lock and in-flight table.  Forking a live
-:class:`ServingFrontend` or :class:`ShardWorkerPool` is not supported
-— create them after the fork.
+Forking
+-------
+Code that forks around serving objects (e.g. a preforking web server
+holding a :class:`ModelCache`) is protected where it matters: the
+cache registers an ``os.register_at_fork`` hook that gives children a
+fresh lock and in-flight table.  Forking a live
+:class:`ServingFrontend` is not supported — create it after the fork.
 
 Typical synchronous loop::
 
@@ -112,8 +92,7 @@ Asynchronous serving under a 50 ms latency budget::
         positions = [t.result().coordinates[0] for t in tickets]
 
 ``python -m repro.cli serve-bench`` sweeps deadline vs throughput
-through the front end — and, with ``--workers N``, through the
-process-backed tier — runs every other serving block, and writes the
+through the front end, runs every other serving block, and writes the
 ``BENCH_serve.json`` trajectory artifact.
 """
 
@@ -134,9 +113,7 @@ from repro.serving.pipeline import PIPELINE_STAGES, FeaturePipeline
 from repro.serving.resilience import (
     AdmissionPolicy,
     BlockAdmission,
-    CircuitBreaker,
     FairShedAdmission,
-    FallbackExecutor,
     RejectAdmission,
     RetryPolicy,
 )
@@ -163,13 +140,6 @@ from repro.serving.sessions import (
     TrackingSession,
     UnknownSessionError,
     solo_trajectory,
-)
-from repro.serving.shm import shm_available
-from repro.serving.workers import (
-    ShardWorkerPool,
-    WorkerPoolError,
-    WorkerPoolExecutor,
-    make_worker_frontend,
 )
 
 # imported last: persistence pulls in the model stacks and reaches back
@@ -208,19 +178,12 @@ __all__ = [
     "QueueFullError",
     "FrontendClosedError",
     "RequestTimeoutError",
-    "ShardWorkerPool",
-    "WorkerPoolExecutor",
-    "WorkerPoolError",
-    "make_worker_frontend",
-    "shm_available",
     "ShedError",
     "AdmissionPolicy",
     "BlockAdmission",
     "RejectAdmission",
     "FairShedAdmission",
-    "CircuitBreaker",
     "RetryPolicy",
-    "FallbackExecutor",
     "DelayedEstimator",
     "FaultInjector",
     "SESSION_SCHEMA",

@@ -166,9 +166,7 @@ class ModelCache:
     owned an in-flight fit) gets a fresh lock and an empty in-flight
     table via an ``os.register_at_fork`` hook, so touching an inherited
     cache can never deadlock — the orphaned fit simply re-runs in the
-    child on demand.  (The multi-process serving tier itself uses the
-    spawn start method and never inherits caches; the hook protects
-    code that forks around a live cache.)
+    child on demand.
     """
 
     def __init__(self, capacity: int = 8, store=None, spill_retry=None):

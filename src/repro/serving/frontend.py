@@ -10,9 +10,10 @@ with the four properties a real serving tier needs:
   (``deadline_ms``); a partial batch drains as soon as its *oldest*
   request's budget expires, not only when the batch fills.
 * **bounded-queue backpressure** — at most ``max_pending`` requests may
-  be queued; beyond that ``submit`` either blocks until the worker
-  drains (``overflow="block"``) or rejects immediately with
-  :class:`QueueFullError` (``overflow="reject"``).
+  be queued; beyond that the ``admission=`` policy decides: by default
+  ``submit`` blocks until the worker drains
+  (:class:`~repro.serving.resilience.BlockAdmission`), or it sheds with
+  :class:`ShedError` (``RejectAdmission``, ``FairShedAdmission``).
 * **per-request timeouts** — a request still queued when its
   ``timeout_ms`` elapses fails with :class:`RequestTimeoutError`
   instead of being served stale.
@@ -35,14 +36,17 @@ it.  The batcher itself is also internally locked, so even an aliased
 handle cannot corrupt the queue — the contract exists so batch
 composition stays deterministic.
 
-Execution is pluggable: by default batches run through an in-process
-:class:`MicroBatcher` over the given estimator (the *thread path*), but
-``executor=`` accepts any object with ``predict(signals) ->
-Prediction``, an ``n_batches`` counter, and ``close()`` — notably
-:class:`repro.serving.workers.WorkerPoolExecutor`, which scatters each
-batch across shard worker *processes*.  Queueing, deadlines,
-backpressure, and ticket semantics are identical either way; only the
-batch execution engine changes.
+Batches run through an in-process :class:`MicroBatcher` over the given
+estimator.  ``executor=`` instead accepts any object with
+``predict(signals) -> Prediction``, an ``n_batches`` counter, and
+``close()`` — :class:`repro.serving.sessions.TrackingFrontend` serves
+session ticks that way.  Queueing, deadlines, backpressure, and ticket
+semantics are identical either way.
+
+Malformed input never reaches a batch: ``submit`` refuses a row that
+holds NaN or inf, or whose width differs from the width the estimator
+was fitted on, with ``ValueError`` before admission — one bad scan
+cannot fail the well-formed requests it would have been batched with.
 
 Determinism for tests: pass ``clock=`` (any monotonic ``() -> seconds``
 callable) and ``start=False`` to get a *manual* front end with no
@@ -55,6 +59,7 @@ injected clock, so the property suite in
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -71,7 +76,6 @@ from repro.serving.resilience import (
     SHED,
     AdmissionPolicy,
     BlockAdmission,
-    RejectAdmission,
 )
 
 
@@ -82,9 +86,9 @@ class QueueFullError(RuntimeError):
 class ShedError(QueueFullError):
     """The admission policy shed this request (clean load shedding).
 
-    Subclasses :class:`QueueFullError` so callers handling the legacy
-    reject path keep working; raised both for arrivals refused at the
-    door and for queued requests evicted by a fairness policy.
+    Subclasses :class:`QueueFullError`, so one ``except`` covers every
+    full-queue refusal; raised both for arrivals refused at the door
+    and for queued requests evicted by a fairness policy.
     """
 
 
@@ -174,7 +178,7 @@ class AsyncTicket:
 class _BatcherExecutor:
     """Default executor: an in-process :class:`MicroBatcher`.
 
-    The thread path.  ``predict`` delegates to
+    ``predict`` delegates to
     :meth:`MicroBatcher.predict_many`, which serves one front-end batch
     as one vectorized model call (the front end never hands over more
     than ``batch_size`` rows at a time).
@@ -252,11 +256,8 @@ class _AdmissionView:
 class TenantPane:
     """Per-tenant admission counters inside :class:`FrontendStats`.
 
-    Typed replacement for the ad-hoc ``{"pending": .., "admitted": ..,
-    "shed": ..}`` dicts the pane used to hold.  Mapping-style access
-    (``pane["shed"]``) and :meth:`to_dict` keep the exact keys the
-    dict era exposed, so existing dashboards and tests read it
-    unchanged.
+    :meth:`to_dict` renders the pane as a plain ``{"pending": ..,
+    "admitted": .., "shed": ..}`` dict with stable keys.
     """
 
     #: Requests of this tenant currently queued.
@@ -266,14 +267,8 @@ class TenantPane:
     #: Requests shed (refused at arrival or evicted for fairness).
     shed: int = 0
 
-    def __getitem__(self, key: str) -> int:
-        try:
-            return self.to_dict()[key]
-        except KeyError:
-            raise KeyError(key) from None
-
     def to_dict(self) -> "dict[str, int]":
-        """The pane as the historical plain-dict shape (stable keys)."""
+        """The pane as a plain dict (stable keys)."""
         return {
             "pending": self.pending,
             "admitted": self.admitted,
@@ -285,14 +280,10 @@ class TenantPane:
 class FrontendStats:
     """Counters exposed by :meth:`ServingFrontend.stats`.
 
-    The one operator pane: besides the front end's own lifecycle
-    counters it surfaces the degradation state of everything behind it
-    — worker-pool ``respawns``, the circuit ``breaker_state`` and
-    ``failovers`` of a resilient executor, and the attached model
-    cache's ``disk_hits`` / ``spill_failures`` — so nobody has to poke
-    three objects to know whether the tier is healthy.  :meth:`to_dict`
-    renders the whole pane as JSON-ready plain dicts with the same keys
-    every field has always had.
+    The one operator pane: the front end's own lifecycle and admission
+    counters plus the attached model cache's ``disk_hits`` /
+    ``spill_failures``.  :meth:`to_dict` renders the whole pane as
+    JSON-ready plain dicts with stable keys.
     """
 
     submitted: int
@@ -305,18 +296,11 @@ class FrontendStats:
     #: Total requests shed by the admission policy (refused arrivals
     #: plus queued requests evicted for fairness).
     shed: int = 0
-    #: Per-tenant :class:`TenantPane` counters (mapping access keeps
-    #: the historical ``tenants[t]["shed"]`` spelling working).
+    #: Per-tenant :class:`TenantPane` counters.
     tenants: "dict[str, TenantPane]" = field(default_factory=dict)
     #: EWMA per-request service time through the executor, in ms
     #: (None until the first batch lands).
     service_estimate_ms: "float | None" = None
-    #: Worker-process respawns behind the executor (0 on the thread path).
-    respawns: int = 0
-    #: Circuit-breaker state of a resilient executor (None without one).
-    breaker_state: "str | None" = None
-    #: Batches failed over from the primary executor to its fallback.
-    failovers: int = 0
     #: Disk-tier restores of the attached model cache (``cache=``).
     disk_hits: int = 0
     #: Failed store write-throughs of the attached model cache.
@@ -328,7 +312,7 @@ class FrontendStats:
         return self.served / self.batches if self.batches else 0.0
 
     def to_dict(self) -> dict:
-        """The pane as JSON-ready plain dicts (stable historical keys)."""
+        """The pane as JSON-ready plain dicts (stable keys)."""
         from dataclasses import asdict
 
         return asdict(self)
@@ -341,14 +325,14 @@ class ServingFrontend:
     ----------
     estimator:
         A fitted :class:`repro.serving.Estimator`; served through a
-        privately owned :class:`MicroBatcher`.  Mutually exclusive with
-        ``executor`` — pass exactly one.
+        privately owned :class:`MicroBatcher`.  Its ``n_features_in_``
+        (when known) is the only row width ``submit`` accepts.
+        Mutually exclusive with ``executor`` — pass exactly one.
     executor:
         Alternative batch execution engine: any object exposing
         ``predict(signals) -> Prediction``, ``n_batches``, and
         ``close()``.  The front end owns it — ``close()`` is called at
-        shutdown (see :class:`repro.serving.workers.WorkerPoolExecutor`
-        for the multi-process tier).
+        shutdown.
     batch_size:
         Maximum queries per vectorized model call; a full batch drains
         immediately, a partial one when its oldest request's deadline
@@ -363,17 +347,14 @@ class ServingFrontend:
     max_pending:
         Bound on queued (not yet served) requests — the backpressure
         limit.
-    overflow:
-        Legacy policy at the bound: ``"block"`` makes ``submit`` wait
-        for the worker to drain, ``"reject"`` raises
-        :class:`QueueFullError`.  Shorthand for the corresponding
-        ``admission`` policy; ignored when ``admission`` is given.
     admission:
         Pluggable :class:`~repro.serving.resilience.AdmissionPolicy`
         consulted on every ``submit`` — e.g.
         :class:`~repro.serving.resilience.FairShedAdmission` for
         per-tenant weighted-fair load shedding with deadline-aware
-        early reject.  Default: derived from ``overflow``.
+        early reject.  Default:
+        :class:`~repro.serving.resilience.BlockAdmission` (``submit``
+        waits for the worker to drain).
     cache:
         Optional :class:`~repro.serving.ModelCache` whose
         ``disk_hits`` / ``spill_failures`` counters surface in
@@ -395,7 +376,6 @@ class ServingFrontend:
         deadline_ms: float = 50.0,
         timeout_ms: "float | None" = None,
         max_pending: int = 1024,
-        overflow: str = "block",
         clock=None,
         start: bool = True,
         executor=None,
@@ -412,14 +392,8 @@ class ServingFrontend:
             raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        if overflow not in ("block", "reject"):
-            raise ValueError(
-                f"overflow must be 'block' or 'reject', got {overflow!r}"
-            )
         if admission is None:
-            admission = (
-                BlockAdmission() if overflow == "block" else RejectAdmission()
-            )
+            admission = BlockAdmission()
         elif not isinstance(admission, AdmissionPolicy):
             raise ValueError(
                 "admission must be an AdmissionPolicy, got "
@@ -431,16 +405,17 @@ class ServingFrontend:
             self.batcher = MicroBatcher(estimator, batch_size=batch_size)
             self.batch_size = self.batcher.batch_size
             self._executor = _BatcherExecutor(self.batcher)
+            self._n_features = estimator.n_features_in_
         else:
             if int(batch_size) < 1:
                 raise ValueError(f"batch_size must be >= 1, got {batch_size}")
             self.batcher = None
             self.batch_size = int(batch_size)
             self._executor = executor
+            self._n_features = None
         self.deadline_ms = float(deadline_ms)
         self.timeout_ms = None if timeout_ms is None else float(timeout_ms)
         self.max_pending = int(max_pending)
-        self.overflow = overflow
         self.admission = admission
         self.cache = cache
         self._clock = time.monotonic if clock is None else clock
@@ -522,16 +497,31 @@ class ServingFrontend:
         ``deadline_ms`` / ``timeout_ms`` override the front end's
         defaults for this request only; ``tenant`` is the fairness
         label (radio map / backend key) the admission policy sheds by.
-        Raises :class:`FrontendClosedError` after :meth:`close`, and —
-        per the admission policy — either waits for space at the
-        backpressure bound (``BlockAdmission``) or refuses the request
-        with :class:`ShedError` (a :class:`QueueFullError` subclass).
+        Raises ``ValueError`` for a row that is not 1-D, holds NaN or
+        inf, or differs in width from the estimator's fitted width
+        (when it reports one);
+        :class:`FrontendClosedError` after :meth:`close`; and — per the
+        admission policy — either waits for space at the backpressure
+        bound (``BlockAdmission``) or refuses the request with
+        :class:`ShedError` (a :class:`QueueFullError` subclass).
         """
         signal = np.asarray(signal, dtype=float)
         if signal.ndim != 1:
             raise ValueError(
                 f"submit takes a single (W,) signal row, got shape {signal.shape}"
             )
+        width = self._n_features
+        if width is not None and signal.shape[0] != width:
+            raise ValueError(
+                f"signal width {signal.shape[0]} does not match the "
+                f"{width} features the estimator was fitted on"
+            )
+        # NaN or inf anywhere makes the dot product non-finite; only then
+        # pay for the exact check (a huge finite row can overflow it)
+        if not (
+            math.isfinite(signal.dot(signal)) or np.isfinite(signal).all()
+        ):
+            raise ValueError("signal row holds NaN or inf")
         deadline = (self.deadline_ms if deadline_ms is None else deadline_ms) / 1e3
         if deadline <= 0:
             raise ValueError(f"deadline_ms must be > 0, got {deadline_ms}")
@@ -678,46 +668,27 @@ class ServingFrontend:
     def _serve_batch(self, batch: "list[_Request]") -> None:
         """Run one batch through the executor (single-writer path).
 
-        The first request fixes the batch's signal width — a later
-        request that disagrees fails alone (same contract and message
-        the :class:`MicroBatcher` enforces); an executor error fails
-        the whole batch, and later batches still serve.
+        An executor error — rows of mixed width included, which only an
+        estimator that reports no fitted width lets through ``submit``
+        — fails the whole batch, and later batches still serve.
         """
-        accepted: "list[_Request]" = []
-        width: "int | None" = None
-        for request in batch:
-            if width is None:
-                width = request.signal.shape[0]
-            if request.signal.shape[0] != width:
-                request.ticket._fail(
-                    ValueError(
-                        f"signal width {request.signal.shape[0]} does not "
-                        f"match the pending batch width {width}"
-                    ),
-                    self._clock(),
-                )
-                continue
-            accepted.append(request)
-        if not accepted:
-            self._notify_resolved()
-            return
-        signals = np.vstack([request.signal for request in accepted])
         started = self._clock()
         try:
+            signals = np.vstack([request.signal for request in batch])
             prediction = self._executor.predict(signals)
         except Exception as error:
             now = self._clock()
-            for request in accepted:
+            for request in batch:
                 request.ticket._fail(error, now)
             self._notify_resolved()
             return
         now = self._clock()
-        for i, request in enumerate(accepted):
+        for i, request in enumerate(batch):
             request.ticket._resolve(prediction.take([i]), now)
         self._notify_resolved()
-        per_request = max(now - started, 0.0) / len(accepted)
+        per_request = max(now - started, 0.0) / len(batch)
         with self._lock:
-            self.n_served += len(accepted)
+            self.n_served += len(batch)
             # EWMA per-request service time feeds the admission policy's
             # deadline-aware early reject (alpha=0.2: smooth but live)
             if self._service_ewma_s is None:
@@ -803,8 +774,7 @@ class ServingFrontend:
                 if not batch:
                     break
                 self._serve_batch(batch)
-        # the front end owns its executor (worker pools tear down their
-        # processes here); both built-in executors close idempotently
+        # the front end owns its executor; executors close idempotently
         self._executor.close()
 
     @property
@@ -818,22 +788,9 @@ class ServingFrontend:
             return len(self._queue)
 
     def stats(self) -> FrontendStats:
-        """Current lifecycle counters (see :class:`FrontendStats`).
-
-        Besides the front end's own counters this duck-types into the
-        executor and the attached cache for the degradation pane:
-        ``respawns`` (a worker pool behind the executor),
-        ``breaker_state`` / ``failovers`` (a
-        :class:`~repro.serving.resilience.FallbackExecutor`), and
-        ``disk_hits`` / ``spill_failures`` (the ``cache=``).
-        """
+        """Current lifecycle counters (see :class:`FrontendStats`),
+        plus ``disk_hits`` / ``spill_failures`` of the ``cache=``."""
         with self._lock:
-            executor = self._executor
-            breaker = getattr(executor, "breaker", None)
-            respawns = getattr(executor, "respawns", None)
-            if respawns is None:
-                pool = getattr(executor, "pool", None)
-                respawns = getattr(pool, "respawns", 0)
             tenants = {
                 tenant: TenantPane(
                     pending=self._tenant_pending.get(tenant, 0),
@@ -850,13 +807,10 @@ class ServingFrontend:
                 rejected=self.n_rejected,
                 cancelled=self.n_cancelled,
                 pending=len(self._queue),
-                batches=executor.n_batches,
+                batches=self._executor.n_batches,
                 shed=self.n_shed,
                 tenants=tenants,
                 service_estimate_ms=None if ewma is None else ewma * 1e3,
-                respawns=int(respawns or 0),
-                breaker_state=None if breaker is None else breaker.state,
-                failovers=int(getattr(executor, "n_failovers", 0)),
                 disk_hits=int(getattr(self.cache, "disk_hits", 0) or 0),
                 spill_failures=int(
                     getattr(self.cache, "spill_failures", 0) or 0

@@ -116,6 +116,17 @@ class Estimator:
         """Predict one vectorized batch of raw RSSI rows."""
         raise NotImplementedError
 
+    @property
+    def n_features_in_(self) -> "int | None":
+        """Raw signal width the fitted model serves (None: not reported).
+
+        :class:`~repro.serving.ServingFrontend` refuses rows of any
+        other width at ``submit``.  Backends report their fitted
+        ``model_``'s width; unfitted ones report None.
+        """
+        model = getattr(self, "model_", None)
+        return None if model is None else model.n_features_in_
+
     def describe(self) -> str:
         """Canonical ``name(key=value, ...)`` string (stable param order)."""
         name = getattr(self, "registry_name", type(self).__name__)
@@ -645,6 +656,10 @@ class EnsembleEstimator(Estimator):
         )
         self.ood_threshold_: "float | None" = None
         self.routes_ = {"primary": 0, "fallback": 0}
+
+    @property
+    def n_features_in_(self) -> "int | None":
+        return self._primary.n_features_in_
 
     def fit(self, dataset: FingerprintDataset) -> "EnsembleEstimator":
         from repro.manifold.neighbors import KNNIndex

@@ -1,42 +1,30 @@
 """Self-protection primitives for the serving tier.
 
-The front end and the worker pool can each fail in ways the other must
-survive: a hot tenant can flood the bounded queue and starve everyone
-else, a crashing worker can eat the whole respawn budget in a storm,
-and a transient store hiccup can cascade into a refit stampede.  This
-module holds the policies that bound those failures:
+A hot tenant can flood the front end's bounded queue and starve
+everyone else, and a transient store hiccup can cascade into a refit
+stampede.  This module holds the policies that bound those failures:
 
 * **Admission policies** — pluggable load-shedding strategies for
-  :class:`~repro.serving.frontend.ServingFrontend`.  The legacy
-  ``overflow="block"|"reject"`` behaviors are :class:`BlockAdmission`
-  and :class:`RejectAdmission`; :class:`FairShedAdmission` adds
-  per-tenant weighted-fair shedding (one hot radio map cannot starve
-  the rest) and deadline-aware early reject (work that cannot meet its
-  timeout given the measured in-queue latency is refused at the door
-  instead of timing out after consuming a queue slot).
-* **CircuitBreaker** — a closed/open/half-open breaker with a
-  token-bucket failure budget and capped exponential cooldown, used by
-  :class:`FallbackExecutor` to take an unhealthy worker-process tier
-  out of the serving path and probe it back in.
+  :class:`~repro.serving.frontend.ServingFrontend` (``admission=``).
+  :class:`BlockAdmission` (the default) makes producers wait for space
+  at the bound, :class:`RejectAdmission` refuses them, and
+  :class:`FairShedAdmission` adds per-tenant weighted-fair shedding
+  (one hot radio map cannot starve the rest) and deadline-aware early
+  reject (work that cannot meet its timeout given the measured
+  in-queue latency is refused at the door instead of timing out after
+  consuming a queue slot).
 * **RetryPolicy** — bounded attempts with capped exponential backoff
-  and deterministic seeded jitter, shared by the store write-through
-  retry and the worker re-dispatch path.
-* **FallbackExecutor** — the degradation seam: a primary executor (the
-  multi-process :class:`~repro.serving.workers.WorkerPoolExecutor`)
-  circuit-broken over an always-available fallback (the in-process
-  thread path over the same estimator).  A batch that the primary
-  fails is *re-served* by the fallback — no request is ever lost to a
-  worker-tier failure — and once the breaker's cooldown elapses a
-  single half-open probe batch decides whether the primary returns.
+  and deterministic seeded jitter, used by the model cache's
+  write-through spill to the store.
 
-Everything here is deterministic under an injected ``clock`` and seeded
-``random`` stream, so the property tests never sleep.
+Everything here is deterministic under an injected service-time
+estimate and a seeded ``random`` stream, so the property tests never
+sleep.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 import time
 
 
@@ -72,7 +60,7 @@ class AdmissionPolicy:
 
 
 class BlockAdmission(AdmissionPolicy):
-    """Legacy ``overflow="block"``: wait for space at the bound."""
+    """The default policy: wait for space at the bound."""
 
     def decide(self, view, tenant, timeout_s):
         if view.pending < view.max_pending:
@@ -81,7 +69,7 @@ class BlockAdmission(AdmissionPolicy):
 
 
 class RejectAdmission(AdmissionPolicy):
-    """Legacy ``overflow="reject"``: refuse arrivals at the bound."""
+    """Refuse arrivals at the bound with a ``ShedError``."""
 
     def decide(self, view, tenant, timeout_s):
         if view.pending < view.max_pending:
@@ -189,162 +177,6 @@ class FairShedAdmission(AdmissionPolicy):
 
 
 # --------------------------------------------------------------------------
-# circuit breaker
-# --------------------------------------------------------------------------
-
-
-class CircuitBreaker:
-    """Closed/open/half-open breaker with a token-bucket failure budget.
-
-    Failures spend tokens from a bucket of ``failure_budget`` that
-    refills continuously over ``window_s`` (a steady trickle of
-    failures is absorbed; a burst trips).  When the bucket runs dry the
-    breaker **opens** for a cooldown that starts at ``cooldown_s`` and
-    doubles on every consecutive trip up to ``cooldown_cap_s`` (capped
-    exponential backoff, with deterministic seeded jitter so a fleet of
-    breakers does not probe in lockstep).  After the cooldown a single
-    probe is allowed through (**half-open**); its success closes the
-    breaker and refills the bucket, its failure re-opens with the next
-    longer cooldown.
-
-    Thread-safe; all time arithmetic uses the injected ``clock``.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half_open"
-
-    def __init__(
-        self,
-        failure_budget: int = 5,
-        window_s: float = 30.0,
-        cooldown_s: float = 1.0,
-        cooldown_cap_s: float = 30.0,
-        jitter: float = 0.1,
-        clock=None,
-        seed: int = 0,
-    ):
-        if failure_budget < 1:
-            raise ValueError(
-                f"failure_budget must be >= 1, got {failure_budget}"
-            )
-        if window_s <= 0:
-            raise ValueError(f"window_s must be > 0, got {window_s}")
-        if cooldown_s <= 0:
-            raise ValueError(f"cooldown_s must be > 0, got {cooldown_s}")
-        if cooldown_cap_s < cooldown_s:
-            raise ValueError(
-                f"cooldown_cap_s must be >= cooldown_s, got {cooldown_cap_s}"
-            )
-        if not 0 <= jitter < 1:
-            raise ValueError(f"jitter must be in [0, 1), got {jitter}")
-        self.failure_budget = int(failure_budget)
-        self.window_s = float(window_s)
-        self.cooldown_s = float(cooldown_s)
-        self.cooldown_cap_s = float(cooldown_cap_s)
-        self.jitter = float(jitter)
-        self._clock = time.monotonic if clock is None else clock
-        self._rng = random.Random(seed)
-        self._lock = threading.Lock()
-        self._state = self.CLOSED
-        self._tokens = float(self.failure_budget)
-        self._refill_at = self._clock()
-        self._opened_at = 0.0
-        self._current_cooldown = 0.0
-        self._consecutive_trips = 0
-        self._probe_inflight = False
-        self.n_trips = 0
-        self.n_failures = 0
-        self.n_successes = 0
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            self._advance_locked(self._clock())
-            return self._state
-
-    def _refill_locked(self, now: float) -> None:
-        elapsed = now - self._refill_at
-        if elapsed > 0:
-            self._tokens = min(
-                float(self.failure_budget),
-                self._tokens + elapsed * self.failure_budget / self.window_s,
-            )
-        self._refill_at = now
-
-    def _advance_locked(self, now: float) -> None:
-        if (
-            self._state == self.OPEN
-            and not self._probe_inflight
-            and now - self._opened_at >= self._current_cooldown
-        ):
-            self._state = self.HALF_OPEN
-
-    def _trip_locked(self, now: float) -> None:
-        cooldown = min(
-            self.cooldown_cap_s,
-            self.cooldown_s * (2.0 ** self._consecutive_trips),
-        )
-        if self.jitter:
-            cooldown *= 1.0 + self.jitter * self._rng.random()
-        self._state = self.OPEN
-        self._opened_at = now
-        self._current_cooldown = cooldown
-        self._consecutive_trips += 1
-        self.n_trips += 1
-
-    def allow(self) -> bool:
-        """Whether the protected call may run right now.
-
-        Closed: always.  Open: no, until the cooldown elapses.
-        Half-open: exactly one caller gets True (the probe) until its
-        outcome is recorded.
-        """
-        with self._lock:
-            now = self._clock()
-            self._advance_locked(now)
-            if self._state == self.CLOSED:
-                return True
-            if self._state == self.HALF_OPEN:
-                # hand out one probe: go (internally) back to OPEN with
-                # the same cooldown so concurrent callers are refused
-                # until record_success / record_failure settles it
-                self._state = self.OPEN
-                self._opened_at = now
-                self._probe_inflight = True
-                return True
-            return False
-
-    def record_success(self) -> None:
-        """The protected call succeeded; a probe success closes."""
-        with self._lock:
-            self.n_successes += 1
-            if self._probe_inflight:
-                self._probe_inflight = False
-                self._state = self.CLOSED
-                self._tokens = float(self.failure_budget)
-                self._refill_at = self._clock()
-                self._consecutive_trips = 0
-
-    def record_failure(self) -> None:
-        """The protected call failed; may trip the breaker."""
-        with self._lock:
-            now = self._clock()
-            self.n_failures += 1
-            if self._probe_inflight:
-                # failed probe: straight back to open, longer cooldown
-                self._probe_inflight = False
-                self._trip_locked(now)
-                return
-            if self._state != self.CLOSED:
-                return
-            self._refill_locked(now)
-            self._tokens -= 1.0
-            if self._tokens < 1.0:
-                self._trip_locked(now)
-
-
-# --------------------------------------------------------------------------
 # retry policy
 # --------------------------------------------------------------------------
 
@@ -408,69 +240,3 @@ class RetryPolicy:
                     raise
                 sleep(self.delay(attempt))
 
-
-# --------------------------------------------------------------------------
-# circuit-broken executor with graceful degradation
-# --------------------------------------------------------------------------
-
-
-class FallbackExecutor:
-    """Primary executor circuit-broken over an in-process fallback.
-
-    The degradation seam of the serving tier: batches run on
-    ``primary`` (normally a
-    :class:`~repro.serving.workers.WorkerPoolExecutor`) while its
-    breaker is closed; a failure both records against the breaker *and*
-    re-serves the same batch on ``fallback`` (normally the thread path
-    over the same estimator), so the requests in flight during a
-    worker-tier failure still get answers — never an error, never a
-    stale result.  While the breaker is open every batch goes straight
-    to the fallback; after the cooldown one probe batch tries the
-    primary again and its outcome closes or re-opens the breaker.
-
-    ``failure_types`` bounds what counts as a *tier* failure (default:
-    :class:`~repro.serving.workers.WorkerPoolError`).  Model-level
-    errors (bad input width etc.) are not tier failures; they propagate
-    and fail only their batch, exactly as on a plain executor.
-    """
-
-    def __init__(self, primary, fallback, breaker=None, failure_types=None):
-        if failure_types is None:
-            from repro.serving.workers import WorkerPoolError
-
-            failure_types = (WorkerPoolError,)
-        self.primary = primary
-        self.fallback = fallback
-        self.breaker = CircuitBreaker() if breaker is None else breaker
-        self.failure_types = tuple(failure_types)
-        self.n_batches = 0
-        self.n_failovers = 0
-        self.n_fallback_batches = 0
-        self.n_primary_batches = 0
-
-    @property
-    def respawns(self) -> int:
-        """Respawn count of the primary's pool (0 when not pool-backed)."""
-        pool = getattr(self.primary, "pool", None)
-        return int(getattr(pool, "respawns", 0))
-
-    def predict(self, signals):
-        self.n_batches += 1
-        if self.breaker.allow():
-            try:
-                prediction = self.primary.predict(signals)
-            except self.failure_types:
-                self.breaker.record_failure()
-                self.n_failovers += 1
-            else:
-                self.breaker.record_success()
-                self.n_primary_batches += 1
-                return prediction
-        self.n_fallback_batches += 1
-        return self.fallback.predict(signals)
-
-    def close(self) -> None:
-        try:
-            self.primary.close()
-        finally:
-            self.fallback.close()

@@ -92,7 +92,7 @@ class ShardedKNNIndex:
         (see :class:`KNNIndex`).  Pruning metadata is still computed from
         the float map at construction, and the top-level ``points`` is
         retained for persistence — the 8x memory cut applies to the
-        per-shard scan state that worker processes hold resident.
+        per-shard scan state.
     refine:
         Shortlist factor for the quantized two-stage query.  When a
         binner is set, :meth:`query` scans shards for the top
@@ -291,6 +291,11 @@ class ShardedKNNIndex:
         return len(self.shards_)
 
     @property
+    def n_features(self) -> int:
+        """Feature dimension of the indexed map."""
+        return self.points.shape[1]
+
+    @property
     def shard_sizes(self) -> "list[int]":
         return [len(idx) for idx in self.shard_indices_]
 
@@ -358,52 +363,6 @@ class ShardedKNNIndex:
                 distances, indices, eff_k - 1
             )
         return distances, indices
-
-    def scan_shards(
-        self, shard_ids, queries: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Local top-k over a subset of shards, mapped to global indices.
-
-        The per-worker entrypoint of the multi-process serving tier
-        (:mod:`repro.serving.workers`): each worker process restores a
-        copy of the index and scans only the shards it owns; the parent
-        merges the per-worker candidates with the same
-        :func:`~repro.manifold.chunked.tie_ordered_top_k` the in-process
-        fan-out uses, so the merge over a partition of the shard ids
-        equals :meth:`query` exactly, indices included.  Returns
-        ``(distances, indices)`` of shape
-        ``(M, min(k, points in the listed shards))``, rows ordered by
-        distance, then index; ``indices`` are global (rows of
-        ``self.points``).  Scans the listed shards serially — worker
-        *processes* are the parallelism axis here.
-
-        When a binner is set, the returned distances are the raw uint8
-        ADC scan distances — the :attr:`refine` rerank deliberately does
-        not run here, since the multi-process parent merges candidates
-        across workers and owns any final refinement.
-        """
-        queries = check_2d(np.asarray(queries, dtype=float), "queries")
-        if queries.shape[1] != self.points.shape[1]:
-            raise ValueError(
-                f"queries have {queries.shape[1]} features, the index has "
-                f"{self.points.shape[1]}"
-            )
-        if int(k) < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        shard_ids = [int(s) for s in shard_ids]
-        if not shard_ids:
-            raise ValueError("scan_shards requires at least one shard id")
-        bad = [s for s in shard_ids if not 0 <= s < self.n_shards]
-        if bad or len(set(shard_ids)) != len(shard_ids):
-            raise ValueError(
-                f"shard ids must be unique and in [0, {self.n_shards}), "
-                f"got {shard_ids}"
-            )
-        eff_k = min(int(k), sum(len(self.shards_[s]) for s in shard_ids))
-        results = [self._scan_shard(s, queries, eff_k) for s in shard_ids]
-        cand_d = np.concatenate([d for d, _ in results], axis=1)
-        cand_i = np.concatenate([i for _, i in results], axis=1)
-        return tie_ordered_top_k(cand_d, cand_i, eff_k)
 
     # ------------------------------------------------------------ query plans
     def _query_all(self, queries: np.ndarray, eff_k: int):

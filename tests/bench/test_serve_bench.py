@@ -420,88 +420,6 @@ class TestEmbedBlock:
             validate_serve_bench_payload(payload)
 
 
-class TestWorkersBlock:
-    """The multi-process tier sweep (schema v3): emission + validation."""
-
-    def test_block_emitted_and_valid(self, smoke_result):
-        payload = smoke_result.payload()
-        validate_serve_bench_payload(payload)
-        workers = payload["workers"]
-        assert workers["model"] == "knn"
-        assert workers["shards"] >= 2
-        assert isinstance(workers["shm_available"], bool)
-        legs = workers["legs"]
-        assert legs[0]["workers"] == 0  # the thread baseline leads
-        for leg in legs:
-            assert leg["parity_ok"] is True
-            assert leg["requests_per_second"] > 0
-            assert leg["respawns"] == 0
-        head = workers["headline"]
-        assert head["floor_enforced"] in (True, False)
-        # a worker leg ran iff shared memory was available
-        if workers["shm_available"]:
-            assert any(leg["workers"] >= 1 for leg in legs)
-            assert head["speedup_vs_threads"] > 0
-
-    def test_report_mentions_the_process_tier(self, smoke_result):
-        report = smoke_result.report()
-        assert "workers:" in report and "threads" in report
-
-    def test_impossible_workers_floor_raises_when_enforceable(
-        self, monkeypatch, tmp_path
-    ):
-        from repro.serving.shm import shm_available
-
-        if not shm_available():
-            pytest.skip("POSIX shared memory unavailable")
-        # pretend this box has cores so the floor becomes enforceable
-        import repro.bench.serve as serve_mod
-
-        monkeypatch.setattr(serve_mod.os, "cpu_count", lambda: 4)
-        with pytest.raises(ServeSpeedupError, match="thread\\s+front end"):
-            run_serve_bench(
-                preset="smoke", seed=9, workers=(0, 2),
-                workers_min_speedup=1e9,
-            )
-
-    def test_validator_rejects_missing_block(self, smoke_result):
-        payload = smoke_result.payload()
-        del payload["workers"]
-        with pytest.raises(ValueError, match="workers"):
-            validate_serve_bench_payload(payload)
-
-    def test_validator_rejects_failed_workers_parity(self, smoke_result):
-        payload = smoke_result.payload()
-        payload["workers"]["legs"][-1]["parity_ok"] = False
-        with pytest.raises(ValueError, match="parity_ok is not True"):
-            validate_serve_bench_payload(payload)
-
-    def test_validator_rejects_missing_thread_baseline(self, smoke_result):
-        payload = smoke_result.payload()
-        payload["workers"]["legs"] = [
-            leg for leg in payload["workers"]["legs"] if leg["workers"] != 0
-        ]
-        if not payload["workers"]["legs"]:
-            payload["workers"]["legs"] = [{"workers": 2}]
-        with pytest.raises(ValueError, match="thread baseline"):
-            validate_serve_bench_payload(payload)
-
-    def test_validator_rejects_enforced_floor_violation(self, smoke_result):
-        payload = smoke_result.payload()
-        head = payload["workers"]["headline"]
-        head["floor_enforced"] = True
-        head["min_speedup_asserted"] = 10.0
-        head["speedup_vs_threads"] = 1.1
-        with pytest.raises(ValueError, match="below the asserted floor"):
-            validate_serve_bench_payload(payload)
-
-    def test_validator_rejects_missing_headline_key(self, smoke_result):
-        payload = smoke_result.payload()
-        del payload["workers"]["headline"]["floor_enforced"]
-        with pytest.raises(ValueError, match="floor_enforced"):
-            validate_serve_bench_payload(payload)
-
-
 class TestResilienceBlock:
     """The chaos-harness leg (schema v5): emission + validation."""
 
@@ -521,13 +439,6 @@ class TestResilienceBlock:
         assert head["availability"] >= preset.chaos_min_availability
         assert head["parity_ok"] is True
         assert head["floor_enforced"] is True
-        if resilience["shm_available"]:
-            # the storm actually landed: workers died and recovery ran
-            assert resilience["faults"]["kills"] >= 1
-            assert (
-                resilience["pool"]["respawns"]
-                + resilience["executor"]["failovers"]
-            ) >= 1
 
     def test_hot_tenant_sheds_more_than_light_tenants(self, smoke_result):
         shed = smoke_result.resilience["shed"]

@@ -30,10 +30,12 @@ class TestCLIParsing:
             ["chaos-bench"],
             ["track-bench"],
             ["serve-bench", "--async"],
+            ["serve-bench", "--workers", "2"],
         ],
     )
     def test_removed_bench_commands_rejected(self, argv, capsys):
-        # every serving block runs through serve-bench alone
+        # every serving block runs through serve-bench alone, and the
+        # process-worker sweep is gone with the tier it measured
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv + ["--preset", "smoke"])
         assert excinfo.value.code == 2  # an argparse usage error

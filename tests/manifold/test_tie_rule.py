@@ -183,33 +183,6 @@ class TestIndexes:
         np.testing.assert_array_equal(idx, oidx)
         np.testing.assert_array_equal(dist, odist)
 
-    @TIE_SETTINGS
-    @given(n_shards=st.integers(2, 5), split=st.integers(1, 4), **map_params)
-    def test_scan_shards_merged_over_a_partition(
-        self, seed, n_unique, copies, dim, k, n_shards, split
-    ):
-        # the worker tier's reduce: each worker scans its own shards, the
-        # parent merges the per-worker candidates with the shared helper
-        from repro.manifold.chunked import tie_ordered_top_k
-
-        points, rng = duplicate_map(seed, n_unique, copies, dim)
-        queries = rng.integers(-3, 4, size=(5, dim)).astype(float)
-        sharded = ShardedKNNIndex(
-            points, partitioner=ChunkPartitioner(n_shards), method="brute"
-        )
-        ids = list(range(sharded.n_shards))
-        groups = [g for g in (ids[: split % len(ids)], ids[split % len(ids) :]) if g]
-        k = min(k, len(points))
-        parts = [sharded.scan_shards(g, queries, k) for g in groups]
-        dist, idx = tie_ordered_top_k(
-            np.concatenate([d for d, _ in parts], axis=1),
-            np.concatenate([i for _, i in parts], axis=1),
-            k,
-        )
-        odist, oidx = oracle(queries, points, k)
-        np.testing.assert_array_equal(idx, oidx)
-        np.testing.assert_array_equal(dist, odist)
-
 
 class TestMergeHelper:
     @TIE_SETTINGS

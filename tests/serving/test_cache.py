@@ -192,36 +192,3 @@ class TestForkSafety:
             assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
         finally:
             cache._lock.release()
-
-    def test_spawned_worker_pool_is_unaffected_by_held_parent_lock(
-        self, uji_small
-    ):
-        """The supported start method: a pool spawned while some thread
-        holds a live cache's lock warm-starts anyway, because spawn
-        re-imports instead of inheriting locks."""
-        from repro.core.persistence import ModelStore
-        from repro.serving.shm import shm_available
-        from repro.serving.workers import ShardWorkerPool
-
-        if not shm_available():
-            pytest.skip("POSIX shared memory unavailable")
-        import tempfile
-
-        cache = ModelCache(capacity=2)
-        estimator = ModelCache(capacity=2).get_or_fit(
-            "knn", uji_small, k=3, shards=2, partitioner="kmeans"
-        )
-        with tempfile.TemporaryDirectory() as store_dir:
-            store = ModelStore(store_dir)
-            cache._lock.acquire()
-            try:
-                with ShardWorkerPool(
-                    estimator, store,
-                    fingerprint=dataset_fingerprint(uji_small), n_workers=2,
-                ) as pool:
-                    distances, indices = pool.query(
-                        uji_small.normalized_signals()[:5], k=3
-                    )
-            finally:
-                cache._lock.release()
-        assert distances.shape == (5, 3) and indices.shape == (5, 3)

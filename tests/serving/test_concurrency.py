@@ -62,7 +62,6 @@ class TestFrontendStampede:
         n_producers = 6
         frontend = ServingFrontend(
             fitted_knn, batch_size=8, deadline_ms=5, max_pending=64,
-            overflow="block",
         )
         tickets = [None] * len(query_matrix)
 
@@ -100,7 +99,6 @@ class TestFrontendStampede:
         n_producers = 6
         frontend = ServingFrontend(
             fitted_knn, batch_size=8, deadline_ms=5, max_pending=16,
-            overflow="block",
         )
         obtained = [[] for _ in range(n_producers)]
         refused = [0] * n_producers
@@ -140,7 +138,6 @@ class TestFrontendStampede:
             deadline_ms=60_000,   # deadline never fires
             timeout_ms=50,        # expiry is the only queue movement
             max_pending=1,
-            overflow="block",
         )
         first = frontend.submit(query_matrix[0])  # fills the queue
         blocked = []

@@ -1,20 +1,12 @@
-"""Fault-injection harness + the recovery paths it targets.
+"""Fault-injection harness + the recovery path it targets.
 
 :mod:`repro.serving.faults` exists to *prove* the resilience claims,
 so its own contract is load-bearing: faults must be seeded (same seed,
 same storm), counted only when they land, and harmless when aimed at a
 target that no longer exists.  The second half of this module then
-drives the injector against real subsystems and pins each recovery
-path end to end:
-
-* store corruption → quarantine (one warning), silent miss afterwards,
-  write-through self-heal;
-* shm slot corruption → checksum detection (``CORRUPT_SLOT``), never a
-  wrong answer;
-* heartbeat stall → wedge detection → respawn;
-* SIGKILL storm past the respawn budget → ``WorkerPoolError`` →
-  circuit breaker trips → thread fallback serves identical results
-  with no request lost (the degradation chain of ISSUE 8).
+drives the injector against the model store and pins the recovery path
+end to end: store corruption → quarantine (one warning), silent miss
+afterwards, write-through self-heal.
 """
 
 from __future__ import annotations
@@ -27,27 +19,11 @@ import pytest
 from repro.core.persistence import ModelStore
 from repro.serving import create, dataset_fingerprint
 from repro.serving.faults import DelayedEstimator, FaultInjector
-from repro.serving.resilience import CircuitBreaker, FallbackExecutor
-from repro.serving.shm import CORRUPT_SLOT, RingSpec, WorkerChannel, shm_available
-from repro.serving.workers import (
-    ShardWorkerPool,
-    WorkerPoolError,
-    WorkerPoolExecutor,
-)
-
-needs_shm = pytest.mark.skipif(
-    not shm_available(), reason="POSIX shared memory unavailable"
-)
 
 
 @pytest.fixture(scope="module")
 def flat_knn(uji_small):
     return create("knn", k=3).fit(uji_small)
-
-
-@pytest.fixture(scope="module")
-def sharded_knn(uji_small):
-    return create("knn", k=3, shards=4, partitioner="kmeans").fit(uji_small)
 
 
 @pytest.fixture(scope="module")
@@ -101,18 +77,8 @@ class TestDelayedEstimator:
 
 
 class TestInjectorContract:
-    def test_validates_stall_duration(self):
-        with pytest.raises(ValueError, match="stall_s"):
-            FaultInjector(stall_s=-1.0)
-
     def test_counters_start_clean(self):
-        injector = FaultInjector(seed=1)
-        assert (
-            injector.kills,
-            injector.stalls,
-            injector.slot_corruptions,
-            injector.store_corruptions,
-        ) == (0, 0, 0, 0)
+        assert FaultInjector(seed=1).store_corruptions == 0
 
     def test_empty_store_is_a_counted_noop(self, tmp_path):
         injector = FaultInjector(seed=1)
@@ -172,209 +138,3 @@ class TestStoreCorruptionQuarantine:
             healed.predict_batch(queries).coordinates,
             flat_knn.predict_batch(queries).coordinates,
         )
-
-
-class _FakeHandle:
-    def __init__(self, channel):
-        self.channel = channel
-
-
-class _FakePool:
-    def __init__(self, channel):
-        self.workers = [_FakeHandle(channel)]
-
-
-@needs_shm
-class TestSlotCorruption:
-    def test_corrupted_published_slot_pops_as_corrupt_sentinel(self):
-        spec = RingSpec(n_slots=1, max_rows=4, width=3, k=2)
-        channel = WorkerChannel(spec, create=True)
-        try:
-            distances = np.arange(8, dtype=np.float64).reshape(4, 2)
-            indices = np.arange(8, dtype=np.int64).reshape(4, 2)
-            assert channel.results.try_push(7, 4, distances, indices)
-            injector = FaultInjector(seed=3)
-            # single slot: the corruption must land on the published one
-            assert injector.corrupt_result_slot(_FakePool(channel))
-            assert injector.slot_corruptions == 1
-            # checksum turns the smashed payload into a detected
-            # sentinel, never a silently-wrong result
-            assert channel.results.try_pop() is CORRUPT_SLOT
-            # ...and the slot was released: the ring keeps working
-            assert channel.results.try_push(8, 4, distances, indices)
-            popped = channel.results.try_pop()
-            assert popped[0] == 8
-            np.testing.assert_array_equal(popped[3], distances)
-        finally:
-            channel.close()
-            channel.unlink()
-
-    def test_closed_channel_is_a_noop(self):
-        spec = RingSpec(n_slots=1, max_rows=2, width=3, k=2)
-        channel = WorkerChannel(spec, create=True)
-        channel.close()
-        try:
-            channel.results = None  # what a closed handle looks like
-            injector = FaultInjector(seed=3)
-            assert not injector.corrupt_result_slot(_FakePool(channel))
-            assert injector.slot_corruptions == 0
-        finally:
-            channel.unlink()
-
-
-@needs_shm
-class TestPoolFaults:
-    def test_kill_lands_and_pool_recovers(
-        self, sharded_knn, tmp_path, fingerprint, queries
-    ):
-        store = ModelStore(tmp_path)
-        oracle = sharded_knn.predict_batch(queries)
-        with ShardWorkerPool(
-            sharded_knn, store, fingerprint=fingerprint, n_workers=2
-        ) as pool:
-            injector = FaultInjector(seed=4)
-            assert injector.kill_worker(pool)
-            assert injector.kills == 1
-            got = pool.predict(queries)
-            assert pool.respawns >= 1
-        np.testing.assert_allclose(got.coordinates, oracle.coordinates)
-
-    def test_stalled_heartbeat_is_detected_and_worker_respawned(
-        self, sharded_knn, tmp_path, fingerprint, queries
-    ):
-        store = ModelStore(tmp_path)
-        oracle = sharded_knn.predict_batch(queries)
-        with ShardWorkerPool(
-            sharded_knn, store, fingerprint=fingerprint, n_workers=1,
-            heartbeat_timeout_s=0.3,
-        ) as pool:
-            injector = FaultInjector(seed=4, stall_s=5.0)
-            try:
-                assert injector.stall_worker(pool)
-                assert injector.stalls == 1
-                # the process is alive but frozen: only the heartbeat
-                # watchdog can notice, and the batch must still come back
-                got = pool.predict(queries)
-                assert pool.respawns >= 1
-            finally:
-                injector.resume_stalled(force=True)
-        np.testing.assert_allclose(got.coordinates, oracle.coordinates)
-
-    def test_dead_pool_has_no_kill_target(
-        self, sharded_knn, tmp_path, fingerprint
-    ):
-        store = ModelStore(tmp_path)
-        pool = ShardWorkerPool(
-            sharded_knn, store, fingerprint=fingerprint, n_workers=1
-        )
-        pool.close()
-        injector = FaultInjector(seed=4)
-        assert not injector.kill_worker(pool)
-        assert not injector.stall_worker(pool)
-        assert injector.kills == 0 and injector.stalls == 0
-
-
-class _DirectExecutor:
-    """In-process stand-in for the thread fallback tier."""
-
-    def __init__(self, estimator):
-        self.estimator = estimator
-        self.n_batches = 0
-
-    def predict(self, signals):
-        self.n_batches += 1
-        return self.estimator.predict_batch(signals)
-
-    def close(self):
-        pass
-
-
-class _FakeClock:
-    def __init__(self, now: float = 50.0):
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-
-@needs_shm
-class TestRespawnStormDegradation:
-    def test_storm_past_the_budget_degrades_to_fallback_with_parity(
-        self, sharded_knn, tmp_path, fingerprint, queries
-    ):
-        """The ISSUE 8 degradation chain, on real processes:
-
-        SIGKILL storm → respawn budget exhausted → ``WorkerPoolError``
-        → breaker trips → every batch re-served by the thread fallback
-        with identical predictions → a later half-open probe finds the
-        tier still broke and re-opens.  No request is ever lost.
-        """
-        store = ModelStore(tmp_path)
-        oracle = sharded_knn.predict_batch(queries)
-        clock = _FakeClock()
-        breaker = CircuitBreaker(
-            failure_budget=1, window_s=600.0, cooldown_s=1.0, jitter=0.0,
-            clock=clock,
-        )
-        pool = ShardWorkerPool(
-            sharded_knn, store, fingerprint=fingerprint, n_workers=1,
-            respawn_budget=1, respawn_window_s=600.0,
-            respawn_backoff_s=0.0,
-        )
-        executor = FallbackExecutor(
-            WorkerPoolExecutor(pool, close_pool=True),
-            _DirectExecutor(sharded_knn),
-            breaker=breaker,
-        )
-        injector = FaultInjector(seed=6)
-        try:
-            # healthy baseline through the primary tier
-            np.testing.assert_allclose(
-                executor.predict(queries).coordinates, oracle.coordinates
-            )
-            assert executor.n_primary_batches == 1
-
-            # kill #1: absorbed by the respawn budget
-            assert injector.kill_worker(pool)
-            pool.workers[0].process.join(timeout=10.0)
-            np.testing.assert_allclose(
-                executor.predict(queries).coordinates, oracle.coordinates
-            )
-            assert pool.respawns == 1
-            assert breaker.state == CircuitBreaker.CLOSED
-
-            # kill #2: budget exhausted -> WorkerPoolError -> failover,
-            # breaker trips, and the batch is still answered correctly
-            assert injector.kill_worker(pool)
-            pool.workers[0].process.join(timeout=10.0)
-            np.testing.assert_allclose(
-                executor.predict(queries).coordinates, oracle.coordinates
-            )
-            assert executor.n_failovers == 1
-            assert breaker.state == CircuitBreaker.OPEN
-            assert injector.kills == 2
-
-            # while open, the dead tier is not even poked
-            primary_batches = executor.n_primary_batches
-            np.testing.assert_allclose(
-                executor.predict(queries).coordinates, oracle.coordinates
-            )
-            assert executor.n_primary_batches == primary_batches
-
-            # cooldown elapses -> half-open probe hits the still-broke
-            # tier -> re-trip, and the probe batch is re-served too
-            clock.now += 1.0
-            np.testing.assert_allclose(
-                executor.predict(queries).coordinates, oracle.coordinates
-            )
-            assert executor.n_failovers == 2
-            assert breaker.state == CircuitBreaker.OPEN
-            assert breaker.n_trips == 2
-            assert executor.n_fallback_batches == 3
-
-            # the raw primary now fails hard — proof the fallback was
-            # the only thing keeping availability at 1.0
-            with pytest.raises(WorkerPoolError, match="budget"):
-                pool.predict(queries)
-        finally:
-            executor.close()

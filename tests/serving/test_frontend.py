@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 from repro.serving import (
+    Estimator,
     FrontendClosedError,
+    Prediction,
     QueueFullError,
+    RejectAdmission,
     ServingFrontend,
     create,
 )
@@ -129,7 +132,7 @@ class TestBackpressure:
             batch_size=100,
             deadline_ms=60_000,
             max_pending=2,
-            overflow="reject",
+            admission=RejectAdmission(),
             start=False,
         )
         frontend.submit(test.rssi[0])
@@ -145,7 +148,6 @@ class TestBackpressure:
         # producers must block and be released by the worker's drain
         with ServingFrontend(
             fitted_knn, batch_size=2, deadline_ms=5, max_pending=2,
-            overflow="block",
         ) as frontend:
             tickets = [frontend.submit(row) for row in test.rssi[:12]]
             results = [t.result(timeout=30) for t in tickets]
@@ -167,38 +169,73 @@ class TestErrorPaths:
                 ticket.result()
         frontend.close()
 
-    def test_width_mismatch_fails_only_that_ticket(self, fitted_knn, uji_split):
+    def test_width_mismatch_is_refused_at_submit(self, fitted_knn, uji_split):
         _train, _val, test = uji_split
         frontend = ServingFrontend(
             fitted_knn, batch_size=3, deadline_ms=60_000, start=False
         )
         good_a = frontend.submit(test.rssi[0])
-        bad = frontend.submit(np.zeros(test.n_aps + 1))
-        good_b = frontend.submit(test.rssi[1])
-        frontend.pump()
-        assert good_a.exception() is None and good_b.exception() is None
         with pytest.raises(ValueError, match="width"):
-            bad.result()
+            frontend.submit(np.zeros(test.n_aps + 1))
+        good_b = frontend.submit(test.rssi[1])
         frontend.close()
+        assert good_a.exception() is None and good_b.exception() is None
+        assert frontend.stats().submitted == 2
 
-    def test_poisoned_first_row_recovers(self, fitted_knn, uji_split):
+    def test_bad_first_scan_does_not_fail_its_batch(
+        self, fitted_knn, uji_split
+    ):
+        # a scan one WAP short arrives first; it is refused before
+        # admission, and every well-formed scan that would have shared
+        # its batch resolves to the synchronous oracle
         _train, _val, test = uji_split
         frontend = ServingFrontend(
-            fitted_knn, batch_size=2, deadline_ms=60_000, start=False
+            fitted_knn, batch_size=4, deadline_ms=60_000, start=False
         )
-        # the wrong-width row is first, so it sets the batcher's pending
-        # width and the model call itself fails — the whole batch errors,
-        # but the batcher is cleared and the front end keeps serving
-        bad = frontend.submit(np.zeros(test.n_aps + 1))
-        widthless = frontend.submit(test.rssi[0])
+        with pytest.raises(ValueError, match="width"):
+            frontend.submit(test.rssi[0][:-1])
+        tickets = [frontend.submit(row) for row in test.rssi[1:4]]
+        frontend.close()
+        served = np.vstack([t.result().coordinates for t in tickets])
+        oracle = fitted_knn.predict_batch(test.rssi[1:4]).coordinates
+        np.testing.assert_allclose(served, oracle, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scan_is_refused_at_submit(
+        self, fitted_knn, uji_split, bad
+    ):
+        _train, _val, test = uji_split
+        frontend = ServingFrontend(fitted_knn, start=False)
+        row = test.rssi[0].astype(float)
+        row[3] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            frontend.submit(row)
+        with pytest.raises(ValueError, match="NaN or inf"):
+            frontend.submit(np.full(test.n_aps, bad))
+        assert frontend.stats().submitted == 0
+        frontend.close()
+
+    def test_mixed_widths_without_a_fitted_width_fail_one_batch(self):
+        class Echo(Estimator):  # reports no fitted width
+            def fit(self, dataset):
+                return self
+
+            def predict_batch(self, signals):
+                return Prediction(coordinates=signals[:, :2])
+
+        frontend = ServingFrontend(
+            Echo(), batch_size=2, deadline_ms=60_000, start=False
+        )
+        ragged = [
+            frontend.submit(np.zeros(3)), frontend.submit(np.zeros(4))
+        ]
         frontend.pump()
-        assert isinstance(bad.exception(), Exception)
-        assert isinstance(widthless.exception(), Exception)
-        assert frontend.batcher.n_pending == 0
-        ok = frontend.submit(test.rssi[1])
-        frontend.submit(test.rssi[2])
+        for ticket in ragged:
+            assert isinstance(ticket.exception(), ValueError)
+        # the drain path survives the ragged batch and keeps serving
+        later = [frontend.submit(np.ones(3)), frontend.submit(np.ones(3))]
         frontend.pump()
-        assert ok.exception() is None
+        assert all(ticket.exception() is None for ticket in later)
         frontend.close()
 
     def test_result_wait_timeout_is_plain_timeout_error(
@@ -228,8 +265,6 @@ class TestValidation:
             ServingFrontend(fitted_knn, timeout_ms=0)
         with pytest.raises(ValueError):
             ServingFrontend(fitted_knn, max_pending=0)
-        with pytest.raises(ValueError):
-            ServingFrontend(fitted_knn, overflow="maybe")
 
     def test_submit_rejects_matrices_and_bad_overrides(
         self, fitted_knn, uji_split
@@ -328,7 +363,7 @@ class TestMonotonicLatency:
 class TestCloseWakesBlockedProducers:
     """``close(drain=False)`` must wake producers blocked on the
     backpressure condition (PR 6 audit): a producer stuck in a full
-    ``overflow="block"`` queue gets :class:`FrontendClosedError`
+    blocking queue gets :class:`FrontendClosedError`
     promptly instead of waiting forever for space that will never come.
     """
 
@@ -340,7 +375,7 @@ class TestCloseWakesBlockedProducers:
         _train, _val, test = uji_split
         frontend = ServingFrontend(
             fitted_knn, batch_size=100, deadline_ms=60_000,
-            max_pending=1, overflow="block", start=False,
+            max_pending=1, start=False,
         )
         frontend.submit(test.rssi[0])  # fills the queue
         outcome = {}

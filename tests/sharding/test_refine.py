@@ -161,20 +161,3 @@ class TestRestore:
             points, index.shard_state(), binner=binner, refine=0
         )
         assert restored.refine == 0
-
-
-class TestScanShards:
-    def test_scan_shards_stays_unrefined(self):
-        # the worker-tier entrypoint serves raw ADC distances: the
-        # multi-process parent owns the final merge + any rerank
-        points, queries = dense_map(n=300)
-        binner = FeatureBinner(n_bins=8, strategy="uniform").fit(points)
-        index = ShardedKNNIndex(
-            points, n_shards=3, partitioner="chunk",
-            binner=binner, refine=4,
-        )
-        dist, idx = index.scan_shards(range(index.n_shards), queries, k=5)
-        exact_to_returned = np.linalg.norm(
-            points[idx] - queries[:, None, :], axis=2
-        )
-        assert not np.allclose(dist, exact_to_returned, atol=1e-6)
