@@ -1,7 +1,8 @@
 # Developer entry points.  `make test` is the tier-1 verification command;
 # it clears compiled bytecode first so a stale __pycache__ can never
 # resurrect the seed's duplicate-basename collection failure.
-# `make test-fast` skips tests marked `slow` (sharding stress runs);
+# `make test-fast` skips tests marked `slow` (the thread-pool stress
+# tests in tests/serving/test_concurrency.py);
 # `make check` additionally fails on any pytest collection warning and
 # runs the two bench smokes (train-bench, serve-bench) + committed-artifact
 # validation.
@@ -11,7 +12,7 @@
 PYTHON ?= python
 
 .PHONY: test test-fast check check-fast lint ci ci-fast check-bench-artifacts \
-	clean-pyc serve-bench serve-bench-smoke shard-bench train-bench \
+	clean-pyc serve-bench serve-bench-smoke train-bench \
 	bench-smoke snapshot warm-serve
 
 test: clean-pyc
@@ -74,9 +75,6 @@ serve-bench-smoke:
 		--store /tmp/repro-model-store.smoke \
 		--output /tmp/BENCH_serve.smoke.json
 	rm -rf /tmp/repro-model-store.smoke
-
-shard-bench:
-	PYTHONPATH=src $(PYTHON) -m repro.cli shard-bench
 
 # Times NObLe/CNNLoc cold fits (seed-equivalent float64 reference vs the
 # fused float32 fast path), asserts metric parity + minimum speedup, and

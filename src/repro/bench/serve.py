@@ -116,8 +116,7 @@ class ServePreset:
     quant_bins: int = 256
     #: Shortlist factor for the ADC scan + exact-rerank two-stage plan;
     #: 2 already recovers full recall on the UJI-like map while keeping
-    #: the scan's top-k merge cheap (the library default of 4 trades a
-    #: little throughput for headroom on harder geometries).
+    #: the scan's top-k merge cheap.
     quant_refine: int = 2
     #: Floor asserted on the quantized scan's req/s over the monolithic
     #: float32 brute scan it replaced; 0 disables (smoke maps are too
@@ -741,9 +740,10 @@ def _quant_block(config: ServePreset, seed: int, min_speedup: float) -> dict:
     - **baseline** — the monolithic float32 brute scan serving used
       before the cache-blocked kernel landed
       (:func:`_monolithic_float32_scan`);
-    - **quant** — a binned :class:`~repro.sharding.ShardedKNNIndex`
+    - **quant** — a binned :class:`~repro.manifold.neighbors.KNNIndex`
       whose scan state is uint8 codes (1/4 the float32 bytes), queried
-      through the ADC shortlist + exact-rerank two-stage plan.
+      through the ADC shortlist + exact-rerank two-stage plan
+      (``refine``).
 
     Asserts three floors: req/s speedup over the baseline (enforced
     only when ``min_speedup > 0`` — the smoke map is too small for a
@@ -755,8 +755,8 @@ def _quant_block(config: ServePreset, seed: int, min_speedup: float) -> dict:
     """
     from repro.data import generate_uji_like
     from repro.manifold.chunked import chunked_argkmin
+    from repro.manifold.neighbors import KNNIndex
     from repro.quantization import FeatureBinner
-    from repro.sharding import ShardedKNNIndex
 
     dataset = generate_uji_like(
         n_spots_per_building=config.quant_spots_per_building,
@@ -782,12 +782,8 @@ def _quant_block(config: ServePreset, seed: int, min_speedup: float) -> dict:
         n_bins=config.quant_bins, strategy="uniform"
     ).fit(points)
     tic = time.perf_counter()
-    index = ShardedKNNIndex(
-        points,
-        n_shards=1,
-        partitioner="chunk",
-        binner=binner,
-        refine=config.quant_refine,
+    index = KNNIndex(
+        points, method="brute", binner=binner, refine=config.quant_refine
     )
     build_seconds = time.perf_counter() - tic
 
@@ -824,7 +820,7 @@ def _quant_block(config: ServePreset, seed: int, min_speedup: float) -> dict:
 
     n_aps = points.shape[1]
     baseline_bytes = float(points32.itemsize * n_aps)
-    quant_bytes = float(index.shards_[0].codes.itemsize * n_aps)
+    quant_bytes = float(index.codes.itemsize * n_aps)
     bytes_ratio = quant_bytes / baseline_bytes
     speedup = (len(queries) / quant_seconds) / (
         len(queries) / baseline_seconds

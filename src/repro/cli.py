@@ -7,7 +7,6 @@ Run the paper's experiments without writing code::
     python -m repro.cli imu             # Table III style comparison
     python -m repro.cli energy          # §IV-C / §V-D accounting
     python -m repro.cli serve-bench     # every serving block -> BENCH_serve.json
-    python -m repro.cli shard-bench     # sharded vs monolithic kNN index
     python -m repro.cli train-bench     # float32 fast path vs seed training loop
     python -m repro.cli snapshot --model noble --store models/   # fit + persist
     python -m repro.cli warm-serve --model noble --store models/ # restore + serve
@@ -52,7 +51,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "experiment",
         choices=(
             "wifi", "ipin", "imu", "energy",
-            "serve-bench", "shard-bench", "train-bench", "snapshot",
+            "serve-bench", "train-bench", "snapshot",
             "warm-serve",
         ),
         help="which experiment to run",
@@ -81,7 +80,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     parser.add_argument(
         "--batch-size", type=int, default=None,
-        help="query batch size (serve-bench, shard-bench and warm-serve; "
+        help="query batch size (serve-bench and warm-serve; "
              "default: the preset's for serve-bench, else 64)",
     )
     parser.add_argument(
@@ -94,19 +93,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "--producers", type=int, default=None,
         help="concurrent producer threads for serve-bench "
              "(default: the preset's)",
-    )
-    parser.add_argument(
-        "--points", type=int, default=None,
-        help="radio-map size override (shard-bench only)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=None,
-        help="shard count override (shard-bench only)",
-    )
-    parser.add_argument(
-        "--partitioner", default="kmeans",
-        choices=("kmeans", "labels", "chunk"),
-        help="shard partitioning policy (shard-bench only)",
     )
     parser.add_argument(
         "--output", default=None,
@@ -138,7 +124,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "imu": run_imu,
         "energy": run_energy,
         "serve-bench": run_serve_bench,
-        "shard-bench": run_shard_bench,
         "train-bench": run_train_bench,
         "snapshot": run_snapshot,
         "warm-serve": run_warm_serve,
@@ -462,45 +447,6 @@ def run_warm_serve(args) -> None:
         f"{fe_stats.batches} batches, "
         f"mean fill {fe_stats.mean_batch_fill:.1f}/{batch_size})"
     )
-
-
-def run_shard_bench(args) -> None:
-    """Benchmark the sharded radio-map index against the monolithic scan.
-
-    Synthesizes a campus-scale clustered radio map (200k fingerprints on
-    the fast preset, 1M on paper scale), builds one monolithic
-    :class:`repro.manifold.neighbors.KNNIndex` and one
-    :class:`repro.sharding.ShardedKNNIndex`, then serves an identical
-    batched query stream through both — asserting distance parity on
-    every batch — and reports throughput.
-    """
-    from repro.sharding.bench import run_shard_bench as bench
-
-    seed = args.seed if args.seed is not None else 7
-    # (n_points, n_aps, n_queries, n_shards, n_spots)
-    scale = dict(
-        fast=(200_000, 32, 512, 96, 96),
-        paper=(1_000_000, 48, 512, 256, 256),
-    )[args.preset]
-    n_points, n_aps, n_queries, n_shards, n_spots = scale
-    if args.points is not None:
-        n_points = args.points
-    if args.shards is not None:
-        n_shards = args.shards
-    try:
-        result = bench(
-            n_points=n_points,
-            n_aps=n_aps,
-            n_queries=n_queries,
-            n_shards=n_shards,
-            n_spots=n_spots,
-            batch_size=args.batch_size if args.batch_size is not None else 64,
-            partitioner=args.partitioner,
-            seed=seed,
-        )
-    except ValueError as error:
-        raise SystemExit(f"shard-bench: {error}") from None
-    print(result.report())
 
 
 def run_train_bench(args) -> None:

@@ -152,6 +152,6 @@ class NObLeEstimator:
 
     @staticmethod
     def _wrap(signals: np.ndarray) -> FingerprintDataset:
-        from repro.serving import Estimator
+        from repro.serving.registry import signals_dataset
 
-        return Estimator._as_dataset(signals)
+        return signals_dataset(signals)

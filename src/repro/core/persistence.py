@@ -11,10 +11,7 @@ module is that story for the whole serving tier:
   format** (schema :data:`ARTIFACT_SCHEMA`) covering every backend in
   :mod:`repro.serving.registry` through a per-backend serializer
   registry that mirrors it: ``knn``, ``knn-regressor``, ``forest``,
-  ``noble``, ``cnnloc``, and the composite ``ensemble`` — including
-  ``shards=`` configurations, whose
-  :class:`~repro.sharding.ShardedKNNIndex` persists its finished shard
-  assignment so a restore skips the partition fit.
+  ``noble``, ``cnnloc``, and the composite ``ensemble``.
 * :class:`ModelStore` — a directory of artifacts keyed by the same
   (backend, dataset fingerprint, hyperparameters) triple as
   :class:`repro.serving.cache.ModelCache`, which uses it as a spill
@@ -405,95 +402,38 @@ def _strip_prefix(arrays: dict, prefix: str) -> dict:
 
 # ----------------------------------------------------------- index (de)hydration
 def _index_state(index, prefix: str) -> "tuple[dict, dict]":
-    """(arrays, meta) for a KNNIndex or ShardedKNNIndex.
+    """(arrays, meta) for a :class:`~repro.manifold.neighbors.KNNIndex`.
 
     A binned (quantized) index persists its uint8 codes plus the fitted
     binner state instead of float points — the artifact gets the same 8x
     size cut the resident index enjoys, and restore rebuilds straight
-    from the codes with no re-quantization.  Sharded binned indexes
-    still persist the float map (shard state references it), plus the
-    binner so per-shard indexes rebuild binned.
+    from the codes with no re-quantization.
     """
-    from repro.sharding.index import ShardedKNNIndex
-
-    if isinstance(index, ShardedKNNIndex):
-        arrays = {
-            f"{prefix}{name}": value
-            for name, value in index.shard_state().items()
-        }
-        arrays[f"{prefix}points"] = index.points
-        meta = {
-            "sharded": True,
-            "method": index.shards_[0].method,
-            "partitioner": index.partitioner.describe(),
-            "prune": bool(index.prune),
-        }
-        if index.binner is not None:
-            for name, value in index.binner.state_arrays().items():
-                arrays[f"{prefix}{name}"] = value
-            meta["binned"] = True
-        return arrays, meta
     if index.binner is not None:
         arrays = {f"{prefix}codes": index.codes}
         for name, value in index.binner.state_arrays().items():
             arrays[f"{prefix}{name}"] = value
-        return arrays, {"sharded": False, "method": "brute", "binned": True}
-    return (
-        {f"{prefix}points": index.points},
-        {"sharded": False, "method": index.method},
-    )
+        return arrays, {"method": "brute", "binned": True}
+    return {f"{prefix}points": index.points}, {"method": index.method}
 
 
 def _restore_index(arrays: dict, meta: dict, prefix: str):
-    """Inverse of :func:`_index_state`; skips any partition fit."""
-    from repro.manifold.neighbors import KNNIndex
-    from repro.sharding.index import ShardedKNNIndex
+    """Inverse of :func:`_index_state`.
 
-    binner = None
+    Artifacts written while sharded indexes existed also carry a
+    ``"sharded": false`` entry, which is ignored.
+    """
+    from repro.manifold.neighbors import KNNIndex
+
     if meta.get("binned"):
         from repro.quantization import FeatureBinner
 
-        binner = FeatureBinner.from_state_arrays(
-            _strip_prefix(arrays, prefix)
-        )
-    if not meta["sharded"]:
-        if binner is not None:
-            return KNNIndex.from_codes(arrays[f"{prefix}codes"], binner)
-        return KNNIndex(arrays[f"{prefix}points"], method=meta["method"])
-    state = {
-        name: arrays[f"{prefix}{name}"]
-        for name in ("shard_concat", "shard_sizes", "centroids", "radii")
-    }
-    return ShardedKNNIndex.from_shard_state(
-        arrays[f"{prefix}points"],
-        state,
-        partitioner_description=meta["partitioner"],
-        method=meta["method"],
-        prune=meta["prune"],
-        binner=binner,
-    )
+        binner = FeatureBinner.from_state_arrays(_strip_prefix(arrays, prefix))
+        return KNNIndex.from_codes(arrays[f"{prefix}codes"], binner)
+    return KNNIndex(arrays[f"{prefix}points"], method=meta["method"])
 
 
 # ------------------------------------------------------- backend serializers
-def _restorable_partitioner(spec, shards: int):
-    """A partitioner the restored model can carry.
-
-    Spec *strings* (``"auto"``/``"labels"``/``"kmeans"``/``"chunk"``)
-    survive the round trip verbatim, so a restored estimator can even
-    be re-fit on new data.  A custom :class:`Partitioner` *instance*
-    cannot be reconstructed from its recorded ``describe()`` string —
-    the restored estimator serves normally, but re-fitting it gets a
-    :class:`RestoredPartitioner` whose ``assign`` raises with an
-    actionable message instead of ``make_partitioner`` choking on the
-    describe string.
-    """
-    from repro.sharding.partitioner import _SPECS, RestoredPartitioner
-
-    if spec is None or (isinstance(spec, str) and (spec == "auto" or spec in _SPECS)):
-        return spec
-    return RestoredPartitioner(str(spec), n_shards=max(int(shards), 1))
-
-
 @register_serializer("knn")
 class _KNNFingerprintingSerializer:
     @staticmethod
@@ -509,15 +449,7 @@ class _KNNFingerprintingSerializer:
     def load(estimator, arrays, meta):
         from repro.localization.knn import KNNFingerprinting
 
-        kwargs = dict(estimator.params)
-        if "partitioner" in kwargs:
-            # also fix the estimator shell, whose own fit() re-injects
-            # _partitioner — a refit must get the restorable form too
-            estimator._partitioner = _restorable_partitioner(
-                estimator._partitioner, kwargs.get("shards", 1)
-            )
-            kwargs["partitioner"] = estimator._partitioner
-        model = KNNFingerprinting(**kwargs)
+        model = KNNFingerprinting(**estimator.params)
         model.index_ = _restore_index(arrays, meta["index"], prefix="index.")
         model.coordinates_ = arrays["coordinates"]
         model.building_ = arrays["building"].astype(int, copy=False)
@@ -560,11 +492,6 @@ class _EmbeddedKNNSerializer:
             for key, value in estimator.params.items()
             if key not in ("embedder", "embed_params")
         }
-        if "partitioner" in kwargs:
-            estimator._partitioner = _restorable_partitioner(
-                estimator._partitioner, kwargs.get("shards", 1)
-            )
-            kwargs["partitioner"] = estimator._partitioner
         model = KNNFingerprinting(
             embedder=restore_embedder(
                 arrays, meta["embedder"], prefix="embedder."
@@ -589,10 +516,6 @@ class _KNNRegressorSerializer:
 
     @staticmethod
     def load(estimator, arrays, meta):
-        if "partitioner" in estimator.params:
-            estimator._partitioner = _restorable_partitioner(
-                estimator._partitioner, estimator.params.get("shards", 1)
-            )
         model = estimator._build()
         model.index_ = _restore_index(arrays, meta["index"], prefix="index.")
         model.targets_ = arrays["targets"]

@@ -21,13 +21,10 @@ class KNNFingerprinting:
     Position = (inverse-distance-)weighted mean of the k nearest stored
     fingerprints; building/floor by majority vote of the same neighbors.
 
-    ``shards > 1`` builds a :class:`repro.sharding.ShardedKNNIndex` over
-    the radio map instead of one monolithic index; the sharded merge is
-    exact — the same neighbors as the monolithic scan, ties included,
-    since both keep the lowest index among equal distances — only the
-    scan strategy differs.  The
-    default ``partitioner="auto"`` shards by the dataset's
-    (building, floor) labels.
+    The radio map lives in one brute-force
+    :class:`~repro.manifold.neighbors.KNNIndex`, which keeps the lowest
+    index among fingerprints tied at the k-th distance;
+    ``quantize_bins`` stores it as uint8 codes.
 
     ``embedder`` prepends a learned feature map from
     :mod:`repro.embedding` to the whole pipeline: the radio map is
@@ -42,24 +39,18 @@ class KNNFingerprinting:
         self,
         k: int = 5,
         weighted: bool = True,
-        shards: int = 1,
-        partitioner="auto",
         quantize_bins: "int | None" = None,
         embedder=None,
     ):
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         self.k = int(k)
         self.weighted = weighted
-        self.shards = int(shards)
-        self.partitioner = partitioner
         self.quantize_bins = (
             None if quantize_bins is None else int(quantize_bins)
         )
         self.embedder = embedder
-        self.index_ = None  # KNNIndex | ShardedKNNIndex after fit
+        self.index_ = None  # KNNIndex after fit
         self.coordinates_: "np.ndarray | None" = None
         self.building_: "np.ndarray | None" = None
         self.floor_: "np.ndarray | None" = None
@@ -84,26 +75,9 @@ class KNNFingerprinting:
             if not is_fitted(self.embedder):
                 fit_embedder(self.embedder, dataset)
         signals = self._signals(dataset)
-        binner = self._fit_binner(signals)
-        if self.shards > 1:
-            from repro.sharding import ShardedKNNIndex
-
-            # one label per (building, floor) pair so label partitioning
-            # never splits a floor across shards
-            labels = (
-                dataset.building * (int(dataset.floor.max()) + 1)
-                + dataset.floor
-            )
-            self.index_ = ShardedKNNIndex(
-                signals,
-                n_shards=self.shards,
-                partitioner=self.partitioner,
-                labels=labels,
-                method="brute",
-                binner=binner,
-            )
-        else:
-            self.index_ = KNNIndex(signals, method="brute", binner=binner)
+        self.index_ = KNNIndex(
+            signals, method="brute", binner=self._fit_binner(signals)
+        )
         self.coordinates_ = dataset.coordinates
         self.building_ = dataset.building
         self.floor_ = dataset.floor

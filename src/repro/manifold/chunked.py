@@ -23,7 +23,7 @@ so no ``(M, N)`` buffer ever exists.
   drops later points at an equal distance, and a tile whose k-th value
   is tied falls back to a full ordering of that row.  The answer is the
   one a stable argsort of the full distance matrix gives, whatever the
-  tile layout or shard split.
+  tile layout.
 
 :func:`chunked_radius_neighbors` uses the same tiles; its per-tile
 reduction is an in-radius mask.
@@ -159,9 +159,9 @@ def tie_ordered_top_k(
     """Per row, the ``k`` smallest ``(distance, index)`` pairs, in that order.
 
     The one neighbor merge of the package — the kernel's tile merge and
-    the sharded index's shard merge.  Among
-    equal distances the lowest index wins, both for membership at the
-    k-th distance and for order within the row.  ``dist`` and ``idx``
+    the quantized index's exact rerank.  Among equal distances the
+    lowest index wins, both for membership at the k-th distance and for
+    order within the row.  ``dist`` and ``idx``
     are ``(M, C)`` candidate matrices in any column order (``idx`` may
     be a broadcast view); returns two ``(M, min(k, C))`` arrays.
     """

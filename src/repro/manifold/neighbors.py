@@ -5,7 +5,8 @@ as a correctness oracle for tests and for the high-dimensional RSSI
 vectors where KD-trees degrade to linear scans anyway.  The brute scan
 runs through the cache-blocked :func:`repro.manifold.chunked.chunked_argkmin`
 kernel, and can operate over a quantized uint8 radio map (``binner``)
-that streams dequantized tiles instead of holding float points.
+that streams dequantized tiles instead of holding float points,
+optionally reranking a quantized shortlist exactly (``refine``).
 """
 
 from __future__ import annotations
@@ -13,8 +14,15 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from repro.manifold.chunked import chunked_argkmin, chunked_radius_neighbors
+from repro.manifold.chunked import (
+    chunked_argkmin,
+    chunked_radius_neighbors,
+    tie_ordered_top_k,
+)
 from repro.utils.validation import check_2d
+
+#: Element budget of one rerank gather, ``(rows, shortlist, D)``.
+_RERANK_BLOCK_ELEMENTS = int(2e7)
 
 
 class KNNIndex:
@@ -37,19 +45,43 @@ class KNNIndex:
         bin-midpoint dequantized tiles; queries stay raw floats
         (asymmetric distance — no query-side quantization error).
         Binned indexes are brute-force only, and ``self.points`` is
-        ``None`` — the float map is deliberately not retained.
+        ``None`` — the float map is deliberately not retained — unless
+        ``refine`` needs it.
+    refine:
+        Shortlist factor of a binned index's two-stage query.  ``0``
+        (the default) serves the raw asymmetric distances to the
+        dequantized codes.  ``refine > 0`` scans for the top
+        ``refine * k`` candidates with that distance, then reranks the
+        shortlist with exact float distances — the standard quantized
+        search refine step, which recovers near-perfect top-k recall at
+        a cost that is tiny next to the scan.  The index then keeps the
+        float ``points`` next to its codes for the rerank.  Requires a
+        binner.
     """
 
     def __init__(
-        self, points: np.ndarray, method: str = "auto", binner=None
+        self,
+        points: np.ndarray,
+        method: str = "auto",
+        binner=None,
+        refine: int = 0,
     ):
         if method not in ("auto", "kdtree", "brute"):
             raise ValueError(f"unknown method {method!r}")
+        self.refine = int(refine)
+        if self.refine < 0:
+            raise ValueError(f"refine must be >= 0, got {refine}")
+        if self.refine and binner is None:
+            raise ValueError(
+                "refine reranks a quantized shortlist: pass a binner"
+            )
         if binner is not None:
             if method == "kdtree":
                 raise ValueError("binned indexes are brute-force only")
             points = check_2d(points, "points")
             self._init_binned(binner, binner.transform(points))
+            if self.refine:
+                self.points = points
             return
         self.points = check_2d(points, "points")
         if method == "auto":
@@ -74,6 +106,7 @@ class KNNIndex:
         verbatim, so no float map and no re-quantization is needed.
         """
         index = cls.__new__(cls)
+        index.refine = 0
         index._init_binned(binner, codes)
         return index
 
@@ -139,6 +172,10 @@ class KNNIndex:
             if effective_k == 1:
                 distances = distances[:, None]
                 indices = indices[:, None]
+        elif self.refine:
+            scan_k = min(effective_k * self.refine, self._n)
+            _, shortlist = self._brute_query(queries, scan_k)
+            distances, indices = self._rerank(queries, shortlist, effective_k)
         else:
             distances, indices = self._brute_query(queries, effective_k)
         if exclude_self:
@@ -155,44 +192,40 @@ class KNNIndex:
             queries, self._source, k, sq_norms=self._sq_points
         )
 
+    def _rerank(self, queries: np.ndarray, shortlist: np.ndarray, k: int):
+        """The ``k`` nearest of each row's shortlist by exact float distance.
+
+        Row blocks keep the ``(rows, shortlist, D)`` gather within
+        :data:`_RERANK_BLOCK_ELEMENTS`.
+        """
+        m, scan_k = shortlist.shape
+        out_d = np.empty((m, k))
+        out_i = np.empty((m, k), dtype=shortlist.dtype)
+        rows = max(1, _RERANK_BLOCK_ELEMENTS // max(scan_k * self._dim, 1))
+        for start in range(0, m, rows):
+            ci = shortlist[start : start + rows]
+            diff = self.points[ci] - queries[start : start + rows, None, :]
+            d = np.sqrt(np.einsum("mkd,mkd->mk", diff, diff))
+            out_d[start : start + rows], out_i[start : start + rows] = (
+                tie_ordered_top_k(d, ci, k)
+            )
+        return out_d, out_i
+
 
 def kneighbors(
-    points: np.ndarray,
-    k: int,
-    method: str = "auto",
-    shards: int = 1,
-    partitioner="auto",
-    max_workers: "int | None" = None,
+    points: np.ndarray, k: int, method: str = "auto"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Self-kNN of a point set, excluding each point itself.
 
-    ``shards > 1`` routes through :class:`repro.sharding.ShardedKNNIndex`
-    (partition policy set by ``partitioner``); the result is exactly the
-    monolithic one, neighbor indices included — sharding only changes
-    how the scan is executed, and both break distance ties by lowest
-    index.  (``method="kdtree"`` orders ties as scipy does.)
+    Distance ties go to the lowest index (``method="kdtree"`` orders
+    ties as scipy does).
     """
-    if shards > 1:
-        from repro.sharding import ShardedKNNIndex
-
-        index = ShardedKNNIndex(
-            points,
-            n_shards=shards,
-            partitioner=partitioner,
-            method=method,
-            max_workers=max_workers,
-        )
-    else:
-        index = KNNIndex(points, method=method)
+    index = KNNIndex(points, method=method)
     return index.query(index.points, k=k, exclude_self=True)
 
 
 def epsilon_neighbors(
-    points: np.ndarray,
-    radius: float,
-    shards: int = 1,
-    max_workers: "int | None" = None,
-    method: str = "auto",
+    points: np.ndarray, radius: float, method: str = "auto"
 ) -> list[np.ndarray]:
     """Indices of all neighbors within ``radius`` of each point (self excluded).
 
@@ -201,16 +234,11 @@ def epsilon_neighbors(
     D <= 20 and the cache-blocked brute kernel
     (:func:`repro.manifold.chunked.chunked_radius_neighbors`) for the
     high-dimensional RSSI regime where the tree degrades to a linear
-    scan anyway.  ``shards > 1`` fans the query side out: the point set
-    is split into ``shards`` row-chunks, each scanned against the shared
-    index on a thread pool (radius search is query-independent, so this
-    is exact).
+    scan anyway.
     """
     points = check_2d(points, "points")
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
     if method not in ("auto", "kdtree", "brute"):
         raise ValueError(f"unknown method {method!r}")
     n = len(points)
@@ -219,41 +247,14 @@ def epsilon_neighbors(
     if method == "auto":
         method = "kdtree" if points.shape[1] <= 20 else "brute"
     if method == "brute":
-        sq_points = np.sum(points**2, axis=1)
-        if shards > 1:
-            from repro.sharding import fanout_over_slices
-
-            def scan_brute(sl: slice) -> "list[np.ndarray]":
-                rows = chunked_radius_neighbors(
-                    points[sl], points, radius, sq_norms=sq_points
-                )
-                return [
-                    row[row != sl.start + i] for i, row in enumerate(rows)
-                ]
-
-            chunks = fanout_over_slices(
-                scan_brute, n, shards, max_workers=max_workers
-            )
-            return [row for chunk in chunks for row in chunk]
         return chunked_radius_neighbors(
-            points, points, radius, sq_norms=sq_points, exclude_self=True
+            points,
+            points,
+            radius,
+            sq_norms=np.sum(points**2, axis=1),
+            exclude_self=True,
         )
     tree = cKDTree(points)
-    if shards > 1:
-        from repro.sharding import fanout_over_slices
-
-        def scan(sl: slice) -> "list[np.ndarray]":
-            rows = tree.query_ball_point(
-                points[sl], r=radius, return_sorted=True
-            )
-            out = []
-            for i, row in enumerate(rows):
-                row = np.asarray(row, dtype=int)
-                out.append(row[row != sl.start + i])
-            return out
-
-        chunks = fanout_over_slices(scan, n, shards, max_workers=max_workers)
-        return [row for chunk in chunks for row in chunk]
     # query_pairs gives each in-radius (i, j) pair once with i < j and never
     # pairs a point with itself; mirroring it yields both directions at once.
     pairs = tree.query_pairs(r=radius, output_type="ndarray")
@@ -272,14 +273,11 @@ def _resolve_query_k(
     exclude_self: bool,
     on_excess: str,
 ) -> tuple[np.ndarray, int]:
-    """Shared query validation + clamp-or-raise policy.
+    """Query validation + clamp-or-raise policy of :meth:`KNNIndex.query`.
 
-    One implementation serves both :class:`KNNIndex` and
-    :class:`repro.sharding.ShardedKNNIndex`, so the documented
-    "identical policy across backends and shards" guarantee cannot
-    drift.  Returns ``(validated queries, effective k)`` where the
-    effective k includes the self column and is clamped to the index
-    size under ``on_excess="clamp"``.
+    Returns ``(validated queries, effective k)`` where the effective k
+    includes the self column and is clamped to the index size under
+    ``on_excess="clamp"``.
     """
     queries = check_2d(queries, "queries")
     if queries.shape[1] != index_dim:

@@ -14,19 +14,15 @@ class KNNRegressor:
     ``weights="uniform"`` averages the k neighbors; ``"distance"`` uses
     inverse-distance weighting (exact matches dominate).
 
-    ``shards > 1`` swaps the monolithic index for an exact
-    :class:`repro.sharding.ShardedKNNIndex` (k-means cells by default,
-    since generic regression carries no building/floor labels); the
-    neighbors match the monolithic scan exactly, ties included (lowest
-    index wins in both).
+    One brute-force :class:`~repro.manifold.neighbors.KNNIndex` serves
+    the neighbors (lowest index wins distance ties); ``quantize_bins``
+    stores it as uint8 codes.
     """
 
     def __init__(
         self,
         k: int = 5,
         weights: str = "uniform",
-        shards: int = 1,
-        partitioner="kmeans",
         quantize_bins: "int | None" = None,
     ):
         if k < 1:
@@ -35,16 +31,12 @@ class KNNRegressor:
             raise ValueError(
                 f"weights must be 'uniform' or 'distance', got {weights!r}"
             )
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         self.k = int(k)
         self.weights = weights
-        self.shards = int(shards)
-        self.partitioner = partitioner
         self.quantize_bins = (
             None if quantize_bins is None else int(quantize_bins)
         )
-        self.index_ = None  # KNNIndex | ShardedKNNIndex after fit
+        self.index_ = None  # KNNIndex after fit
         self.targets_: "np.ndarray | None" = None
         self._squeeze = False
 
@@ -67,18 +59,7 @@ class KNNRegressor:
             from repro.quantization import FeatureBinner
 
             binner = FeatureBinner(n_bins=self.quantize_bins).fit(x)
-        if self.shards > 1:
-            from repro.sharding import ShardedKNNIndex
-
-            self.index_ = ShardedKNNIndex(
-                x,
-                n_shards=self.shards,
-                partitioner=self.partitioner,
-                method="brute",
-                binner=binner,
-            )
-        else:
-            self.index_ = KNNIndex(x, method="brute", binner=binner)
+        self.index_ = KNNIndex(x, method="brute", binner=binner)
         self.targets_ = y
         return self
 

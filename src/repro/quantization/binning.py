@@ -247,7 +247,7 @@ class BinnedPoints:
     @property
     def nbytes(self) -> int:
         """Resident bytes of the stored map (codes only — the LUT is
-        shared across shards and amortizes to nothing)."""
+        tiny next to the map and amortizes to nothing)."""
         return self.codes.nbytes
 
     @property

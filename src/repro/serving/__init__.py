@@ -13,18 +13,17 @@ The production-facing seam of the repo.  Four pieces compose:
 ``pipeline``
     :class:`FeaturePipeline`, the composable feature-space seam the
     kNN-family backends share: one validated embedder → binner →
-    sharded-index chain (``transform=``), with the legacy
-    ``shards``/``partitioner``/``quantize_bins``/``dtype`` kwargs kept
-    working as shims and every stage absent-by-default so existing
-    cache keys and on-disk artifacts resolve unchanged.
+    index chain (``transform=``), with the legacy
+    ``quantize_bins``/``dtype`` kwargs kept working as shims and every
+    stage absent-by-default so existing cache keys and on-disk
+    artifacts resolve unchanged.
 ``cache``
     :class:`ModelCache`, a thread-safe LRU of fitted models keyed by
     dataset fingerprint + hyperparameters, with a per-key in-flight
     guard so a stampede of identical misses fits exactly once.
 ``batcher``
-    :class:`MicroBatcher`, which accumulates single-query requests into
-    fixed-size micro-batches served by one vectorized model call
-    (internally locked for concurrent producers).
+    :class:`MicroBatcher`, which serves a query matrix through
+    fixed-size micro-batches, one vectorized model call each.
 ``frontend``
     :class:`ServingFrontend`, the asynchronous front end: a worker
     thread drains the batcher with deadline-based flush (a partial
@@ -72,21 +71,12 @@ cache registers an ``os.register_at_fork`` hook that gives children a
 fresh lock and in-flight table.  Forking a live
 :class:`ServingFrontend` is not supported — create it after the fork.
 
-Typical synchronous loop::
+Asynchronous serving under a 50 ms latency budget::
 
-    from repro.serving import MicroBatcher, ModelCache
+    from repro.serving import ModelCache, ServingFrontend
 
     cache = ModelCache(capacity=8)
     estimator = cache.get_or_fit("knn", radio_map, k=3)
-    batcher = MicroBatcher(estimator, batch_size=64)
-    tickets = [batcher.submit(scan) for scan in incoming]
-    batcher.flush()
-    positions = [t.result().coordinates[0] for t in tickets]
-
-Asynchronous serving under a 50 ms latency budget::
-
-    from repro.serving import ServingFrontend
-
     with ServingFrontend(estimator, batch_size=64, deadline_ms=50) as fe:
         tickets = [fe.submit(scan) for scan in incoming]
         positions = [t.result().coordinates[0] for t in tickets]
@@ -96,7 +86,7 @@ through the front end, runs every other serving block, and writes the
 ``BENCH_serve.json`` trajectory artifact.
 """
 
-from repro.serving.batcher import MicroBatcher, Ticket
+from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import CacheStats, ModelCache, dataset_fingerprint
 from repro.serving.faults import DelayedEstimator, FaultInjector
 from repro.serving.frontend import (
@@ -170,7 +160,6 @@ __all__ = [
     "save_estimator",
     "load_estimator",
     "MicroBatcher",
-    "Ticket",
     "ServingFrontend",
     "AsyncTicket",
     "FrontendStats",

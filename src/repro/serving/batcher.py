@@ -3,29 +3,16 @@
 Production localization traffic arrives as single-query requests (one
 phone, one RSSI scan), but every backend in the registry is vectorized:
 one ``predict_batch`` over 64 rows costs barely more than over 1.  The
-:class:`MicroBatcher` bridges the two — it accumulates submitted
-queries into fixed-size micro-batches and runs each batch through one
-vectorized model call:
+:class:`MicroBatcher` serves a query matrix through fixed-size
+micro-batches, one vectorized model call each::
 
     batcher = MicroBatcher(estimator, batch_size=64)
-    ticket = batcher.submit(rssi_row)    # returns immediately
-    ...
-    batcher.flush()                      # drain the partial batch
-    position = ticket.result().coordinates[0]
+    prediction = batcher.predict_many(scans)   # row order preserved
 
-A full batch flushes automatically inside :meth:`submit`; ``flush()``
-drains whatever remains.  :meth:`predict_many` is the convenience path
-for an already-materialized query matrix.
-
-Thread safety: every mutating operation (``submit`` / ``flush`` /
-``discard_pending`` / ``predict_many``) serializes on one reentrant
-lock, so concurrent producers can share a batcher without losing or
-duplicating tickets — an auto-flush triggered by one thread's submit
-runs to completion before any other thread's submit interleaves.  The
-lock is held across the model call inside ``flush``, which serializes
-batches by design (one vectorized call at a time is the whole point).
-For deadline-driven serving, wrap the batcher in
-:class:`repro.serving.ServingFrontend`, which owns it single-writer.
+:class:`repro.serving.ServingFrontend` owns one and hands it each batch
+it assembles from single-query submits; :meth:`predict_many` serializes
+on a lock, so callers sharing a batcher never interleave model calls or
+lose counter updates.
 """
 
 from __future__ import annotations
@@ -37,39 +24,15 @@ import numpy as np
 from repro.serving.registry import Estimator, Prediction, concatenate
 
 
-class Ticket:
-    """Handle for one submitted query; resolved by the next flush."""
-
-    __slots__ = ("_prediction",)
-
-    def __init__(self):
-        self._prediction: "Prediction | None" = None
-
-    @property
-    def ready(self) -> bool:
-        return self._prediction is not None
-
-    def result(self) -> Prediction:
-        """The single-row :class:`Prediction` for this query.
-
-        Raises ``RuntimeError`` if the query's batch has not run yet —
-        call :meth:`MicroBatcher.flush` first.
-        """
-        if self._prediction is None:
-            raise RuntimeError("prediction pending — flush() the batcher first")
-        return self._prediction
-
-
 class MicroBatcher:
-    """Accumulate single queries into vectorized micro-batches.
+    """Serve query matrices through fixed-size vectorized micro-batches.
 
     Parameters
     ----------
     estimator:
         A fitted :class:`repro.serving.Estimator`.
     batch_size:
-        Queries per vectorized model call; a partial final batch is run
-        by :meth:`flush`.
+        Queries per vectorized model call.
     """
 
     def __init__(self, estimator: Estimator, batch_size: int = 64):
@@ -77,102 +40,20 @@ class MicroBatcher:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.estimator = estimator
         self.batch_size = int(batch_size)
-        self._pending_signals: "list[np.ndarray]" = []
-        self._pending_tickets: "list[Ticket]" = []
         self.n_requests = 0
         self.n_batches = 0
-        # reentrant: submit auto-flushes while already holding the lock
-        self._lock = threading.RLock()
-
-    @property
-    def n_pending(self) -> int:
-        """Queries submitted but not yet run through the model."""
-        with self._lock:
-            return len(self._pending_tickets)
-
-    def submit(self, signal: np.ndarray) -> Ticket:
-        """Enqueue one raw RSSI row; auto-flushes when the batch fills."""
-        signal = np.asarray(signal, dtype=float)
-        if signal.ndim != 1:
-            raise ValueError(
-                f"submit takes a single (W,) signal row, got shape {signal.shape}"
-            )
-        with self._lock:
-            if (
-                self._pending_signals
-                and signal.shape != self._pending_signals[0].shape
-            ):
-                raise ValueError(
-                    f"signal width {signal.shape[0]} does not match the pending "
-                    f"batch width {self._pending_signals[0].shape[0]}"
-                )
-            ticket = Ticket()
-            self._pending_signals.append(signal)
-            self._pending_tickets.append(ticket)
-            self.n_requests += 1
-            if len(self._pending_tickets) >= self.batch_size:
-                try:
-                    self.flush()
-                except Exception:
-                    # the caller never receives this ticket when submit
-                    # raises — undo the enqueue so the query can be
-                    # resubmitted without duplication (earlier queries
-                    # keep their held tickets)
-                    self._pending_signals.pop()
-                    self._pending_tickets.pop()
-                    self.n_requests -= 1
-                    raise
-            return ticket
-
-    def discard_pending(self) -> int:
-        """Drop all pending queries without running them; returns the count.
-
-        The recovery path when a queued query poisons the batch (e.g. a
-        wrong-width first row that makes every :meth:`flush` raise):
-        discarded tickets stay permanently unresolved and their queries
-        must be resubmitted.
-        """
-        with self._lock:
-            dropped = len(self._pending_tickets)
-            self._pending_signals = []
-            self._pending_tickets = []
-            return dropped
-
-    def flush(self) -> int:
-        """Run pending queries in one model call; returns how many ran.
-
-        If the model call raises, the pending queue is left intact so the
-        batch can be retried (or inspected) instead of silently dropped.
-        """
-        with self._lock:
-            if not self._pending_tickets:
-                return 0
-            signals = np.vstack(self._pending_signals)
-            prediction = self.estimator.predict_batch(signals)
-            tickets = self._pending_tickets
-            self._pending_signals = []
-            self._pending_tickets = []
-            self.n_batches += 1
-            # resolve before releasing the lock: a concurrent producer
-            # whose flush() returns 0 (queue already swapped empty) must
-            # find its ticket resolved, not in a half-flushed limbo
-            for i, ticket in enumerate(tickets):
-                ticket._prediction = prediction.take(slice(i, i + 1))
-        return len(tickets)
+        self._lock = threading.Lock()
 
     def predict_many(self, signals: np.ndarray) -> Prediction:
         """Predict a whole query matrix through fixed-size micro-batches.
 
-        Equivalent to submitting every row and flushing, but returns the
-        reassembled :class:`Prediction` directly (row order preserved).
-        Queries still pending from earlier :meth:`submit` calls are
-        flushed first so their tickets resolve too.
+        Returns the reassembled :class:`Prediction` (row order
+        preserved).
         """
         signals = np.asarray(signals, dtype=float)
         if signals.ndim != 2:
             raise ValueError(f"signals must be 2-D, got shape {signals.shape}")
         with self._lock:
-            self.flush()
             if len(signals) == 0:
                 # one empty model call, so label heads survive for concatenate()
                 return self.estimator.predict_batch(signals)

@@ -1,10 +1,11 @@
 """Deadline-driven asynchronous serving front end.
 
-:class:`repro.serving.MicroBatcher` only drains when a batch fills or
-someone calls ``flush()`` — fine for offline evaluation, wrong for a
-production front end where the last few requests of a lull would wait
-forever.  :class:`ServingFrontend` wraps the batcher in a worker thread
-with the four properties a real serving tier needs:
+:class:`repro.serving.MicroBatcher` serves a query matrix it is
+handed — fine for offline evaluation, but single-query production
+traffic needs something to assemble those matrices.
+:class:`ServingFrontend` queues submitted scans and drains them through
+the batcher from a worker thread, with the four properties a real
+serving tier needs:
 
 * **deadline-based flush** — every request carries a latency budget
   (``deadline_ms``); a partial batch drains as soon as its *oldest*
@@ -33,7 +34,7 @@ threads.  The wrapped :class:`MicroBatcher` is owned exclusively by the
 front end's drain path (a single-writer contract — the worker thread,
 or the caller of :meth:`pump` in manual mode); nothing else may touch
 it.  The batcher itself is also internally locked, so even an aliased
-handle cannot corrupt the queue — the contract exists so batch
+handle cannot interleave model calls — the contract exists so batch
 composition stays deterministic.
 
 Batches run through an in-process :class:`MicroBatcher` over the given
@@ -59,7 +60,6 @@ injected clock, so the property suite in
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from collections import deque
@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.serving.batcher import MicroBatcher
-from repro.serving.registry import Estimator, Prediction
+from repro.serving.registry import Estimator, Prediction, check_signals
 from repro.serving.resilience import (
     ADMIT,
     BLOCK,
@@ -510,18 +510,7 @@ class ServingFrontend:
             raise ValueError(
                 f"submit takes a single (W,) signal row, got shape {signal.shape}"
             )
-        width = self._n_features
-        if width is not None and signal.shape[0] != width:
-            raise ValueError(
-                f"signal width {signal.shape[0]} does not match the "
-                f"{width} features the estimator was fitted on"
-            )
-        # NaN or inf anywhere makes the dot product non-finite; only then
-        # pay for the exact check (a huge finite row can overflow it)
-        if not (
-            math.isfinite(signal.dot(signal)) or np.isfinite(signal).all()
-        ):
-            raise ValueError("signal row holds NaN or inf")
+        check_signals(signal, self._n_features)
         deadline = (self.deadline_ms if deadline_ms is None else deadline_ms) / 1e3
         if deadline <= 0:
             raise ValueError(f"deadline_ms must be > 0, got {deadline_ms}")

@@ -1,10 +1,9 @@
 """The feature-space pipeline seam shared by the serving backends.
 
 Historically every adapter in :mod:`repro.serving.registry` re-plumbed
-the same four hyperparameters — ``shards``, ``partitioner``,
-``quantize_bins``, ``dtype`` — through its own constructor, each
-re-implementing the canonicalization rules that keep
-:class:`~repro.serving.cache.ModelCache` /
+the same hyperparameters — ``quantize_bins``, ``dtype`` — through its
+own constructor, each re-implementing the canonicalization rules that
+keep :class:`~repro.serving.cache.ModelCache` /
 :class:`~repro.core.persistence.ModelStore` keys stable.  This module
 is the one shared seam: a validated **embedder → binner → index**
 chain (:class:`FeaturePipeline`) that every kNN-family backend
@@ -13,8 +12,8 @@ the rest of the registry keys with.
 
 Two spellings construct the same pipeline::
 
-    create("knn", shards=4, quantize_bins=16)                  # legacy kwargs
-    create("knn", transform={"shard": 4, "bin": 16})           # transform= chain
+    create("knn", quantize_bins=16)                # legacy kwarg
+    create("knn", transform={"bin": 16})           # transform= chain
 
 and mixing them for the *same* stage is an error rather than a silent
 override.  The learned-embedding stage (``"embed"``) is only available
@@ -22,8 +21,8 @@ on backends that declare it (the ``"embed-knn"`` backend); everywhere
 else it fails at construction with a pointer to the right backend.
 
 Cache-key stability is the load-bearing invariant: every stage is
-**absent-by-default** in the canonical params (``shards=1``,
-``quantize_bins=None``, ``dtype=None`` produce no key at all), so
+**absent-by-default** in the canonical params (``quantize_bins=None``
+and ``dtype=None`` produce no key at all), so
 pre-existing ``describe()`` strings, cache keys, and on-disk
 :class:`ModelStore` artifacts resolve unchanged.
 """
@@ -33,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 #: Stage names, in hot-path application order.
-PIPELINE_STAGES = ("embed", "bin", "shard")
+PIPELINE_STAGES = ("embed", "bin")
 
 
 def _canonical_seed(seed):
@@ -78,47 +77,14 @@ def _quantize_param(quantize_bins) -> dict:
     return {"quantize_bins": bins}
 
 
-def _sharding_params(shards, partitioner=None) -> dict:
-    """Canonical ``shards``/``partitioner`` entries for an adapter's params.
-
-    Returns ``{}`` for the unsharded default so existing describe()
-    strings and :class:`repro.serving.cache.ModelCache` keys are
-    untouched — ``shards=1`` is behaviorally identical to omitting it.
-    A partitioner instance is keyed by its canonical ``describe()``
-    string, so differing policies never share a cache entry.
-    """
-    shards = int(shards)
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if (
-        partitioner is not None
-        and hasattr(partitioner, "n_shards")
-        and partitioner.n_shards != shards
-    ):
-        raise ValueError(
-            f"shards={shards} conflicts with the partitioner's "
-            f"n_shards={partitioner.n_shards}"
-        )
-    if shards == 1:
-        return {}
-    params = {"shards": shards}
-    if partitioner is not None:
-        params["partitioner"] = (
-            partitioner.describe()
-            if hasattr(partitioner, "describe")
-            else str(partitioner)
-        )
-    return params
-
-
 class FeaturePipeline:
-    """A validated embedder → binner → sharded-index configuration.
+    """A validated embedder → binner → index configuration.
 
     Backends construct one through :meth:`resolve` (which merges the
     ``transform=`` spelling with the legacy per-stage kwargs), then key
     themselves with :meth:`canonical_params` and build the hot-path
-    stages with :meth:`build_embedder` / the raw ``partitioner`` /
-    ``quantize_bins`` attributes.
+    stages with :meth:`build_embedder` / the ``quantize_bins``
+    attribute.
 
     Parameters
     ----------
@@ -133,9 +99,6 @@ class FeaturePipeline:
         Learned-embedding stage: an embedder kind from
         :data:`repro.embedding.EMBEDDER_KINDS` plus its constructor
         kwargs.
-    shards / partitioner:
-        Index-sharding stage (the raw partitioner spec is kept for
-        fit; its canonical ``describe()`` string goes into the key).
     quantize_bins:
         uint8 radio-map quantization stage.
     dtype:
@@ -146,11 +109,9 @@ class FeaturePipeline:
         self,
         *,
         backend: str = "?",
-        stages: tuple = ("bin", "shard"),
+        stages: tuple = ("bin",),
         embedder: "str | None" = None,
         embed_params: "dict | None" = None,
-        shards: int = 1,
-        partitioner=None,
         quantize_bins: "int | None" = None,
         dtype=None,
     ):
@@ -181,12 +142,8 @@ class FeaturePipeline:
             raise ValueError(
                 f"backend {backend!r} has no quantization stage"
             )
-        if int(shards) != 1 and "shard" not in self.stages:
-            raise ValueError(f"backend {backend!r} has no sharding stage")
         self.embedder_kind = embedder
         self.embed_params = dict(embed_params or {})
-        self.shards = int(shards)
-        self.partitioner = partitioner
         self.quantize_bins = quantize_bins
         self.dtype = dtype
         # validate eagerly: a bad configuration must fail at
@@ -199,11 +156,9 @@ class FeaturePipeline:
         transform=None,
         *,
         backend: str = "?",
-        stages: tuple = ("bin", "shard"),
+        stages: tuple = ("bin",),
         embedder: "str | None" = None,
         embed_params: "dict | None" = None,
-        shards: int = 1,
-        partitioner=None,
         quantize_bins: "int | None" = None,
         dtype=None,
     ) -> "FeaturePipeline":
@@ -211,13 +166,11 @@ class FeaturePipeline:
 
         ``transform`` is ``None``, an existing :class:`FeaturePipeline`
         (re-validated against this backend's stages), or a dict with
-        keys from ``{"embed", "bin", "shard", "dtype"}``::
+        keys from ``{"embed", "bin", "dtype"}``::
 
             {"embed": "mlp"}                           # kind, default params
             {"embed": {"kind": "mlp", "epochs": 20}}   # kind + params
             {"bin": 16}                                # quantize_bins
-            {"shard": 4}                               # shards
-            {"shard": {"shards": 4, "partitioner": p}} # + partitioner
             {"dtype": "float32"}
 
         Setting the same stage through both spellings raises — silent
@@ -230,8 +183,6 @@ class FeaturePipeline:
                 stages=stages,
                 embedder=embedder,
                 embed_params=embed_params,
-                shards=shards,
-                partitioner=partitioner,
                 quantize_bins=quantize_bins,
                 dtype=dtype,
             )
@@ -244,11 +195,11 @@ class FeaturePipeline:
                 "transform must be a dict or FeaturePipeline, got "
                 f"{type(transform).__name__}"
             )
-        unknown = set(spec) - {"embed", "bin", "shard", "dtype"}
+        unknown = set(spec) - {"embed", "bin", "dtype"}
         if unknown:
             raise ValueError(
                 f"unknown transform stages {sorted(unknown)}; allowed: "
-                "embed, bin, shard, dtype"
+                "embed, bin, dtype"
             )
 
         def conflict(stage, legacy_name):
@@ -281,22 +232,6 @@ class FeaturePipeline:
             if quantize_bins is not None:
                 conflict("bin", "quantize_bins=")
             quantize_bins = spec["bin"]
-        if "shard" in spec:
-            if int(shards) != 1:
-                conflict("shard", "shards=")
-            shard_spec = spec["shard"]
-            if isinstance(shard_spec, dict):
-                shard_spec = dict(shard_spec)
-                shards = shard_spec.pop("shards")
-                # an omitted partitioner keeps the backend's default
-                partitioner = shard_spec.pop("partitioner", partitioner)
-                if shard_spec:
-                    raise ValueError(
-                        "transform shard stage allows only 'shards' and "
-                        f"'partitioner', got extras {sorted(shard_spec)}"
-                    )
-            else:
-                shards = shard_spec
         if "dtype" in spec:
             if dtype is not None:
                 conflict("dtype", "dtype=")
@@ -306,8 +241,6 @@ class FeaturePipeline:
             stages=stages,
             embedder=embedder,
             embed_params=embed_params,
-            shards=shards,
-            partitioner=partitioner,
             quantize_bins=quantize_bins,
             dtype=dtype,
         )
@@ -319,10 +252,6 @@ class FeaturePipeline:
             spec["embed"] = {"kind": self.embedder_kind, **self.embed_params}
         if self.quantize_bins is not None:
             spec["bin"] = self.quantize_bins
-        if self.shards != 1:
-            spec["shard"] = {
-                "shards": self.shards, "partitioner": self.partitioner
-            }
         if self.dtype is not None:
             spec["dtype"] = self.dtype
         return spec
@@ -351,7 +280,6 @@ class FeaturePipeline:
             embed_params["seed"] = _canonical_seed(embed_params.get("seed", 0))
             params["embedder"] = self.embedder_kind
             params["embed_params"] = dict(sorted(embed_params.items()))
-        params.update(_sharding_params(self.shards, self.partitioner))
         params.update(_quantize_param(self.quantize_bins))
         params.update(_dtype_param(self.dtype))
         return params

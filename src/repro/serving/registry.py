@@ -23,17 +23,13 @@ Registering a new backend is one decorator::
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.data.ujiindoor import FingerprintDataset
-from repro.serving.pipeline import (
-    FeaturePipeline,
-    _canonical_seed,
-    _sharding_params,
-)
+from repro.serving.pipeline import FeaturePipeline, _canonical_seed
 from repro.utils.validation import check_2d, check_fitted
 
 #: name -> Estimator subclass; populated by :func:`register`.
@@ -66,6 +62,27 @@ class Prediction:
             building=None if self.building is None else self.building[indices],
             floor=None if self.floor is None else self.floor[indices],
         )
+
+
+def check_signals(signals: np.ndarray, width: "int | None") -> None:
+    """Refuse scans the fitted model cannot serve, with ``ValueError``.
+
+    ``signals`` is one (W,) row or an (N, W) batch.  A width other than
+    ``width`` (skipped when None: the estimator reports none) or any NaN
+    or inf is refused.  The one boundary check of both
+    :meth:`Estimator.predict_batch` and
+    :meth:`repro.serving.ServingFrontend.submit`.
+    """
+    if width is not None and signals.shape[-1] != width:
+        raise ValueError(
+            f"signal width {signals.shape[-1]} does not match the "
+            f"{width} features the estimator was fitted on"
+        )
+    # NaN or inf anywhere makes the dot product non-finite; only then
+    # pay for the exact check (a huge finite row can overflow it)
+    flat = signals.ravel()
+    if not (math.isfinite(flat.dot(flat)) or np.isfinite(flat).all()):
+        raise ValueError("signal row holds NaN or inf")
 
 
 def concatenate(predictions: "list[Prediction]") -> Prediction:
@@ -120,9 +137,10 @@ class Estimator:
     def n_features_in_(self) -> "int | None":
         """Raw signal width the fitted model serves (None: not reported).
 
-        :class:`~repro.serving.ServingFrontend` refuses rows of any
-        other width at ``submit``.  Backends report their fitted
-        ``model_``'s width; unfitted ones report None.
+        :meth:`predict_batch` and
+        :class:`~repro.serving.ServingFrontend`'s ``submit`` refuse rows
+        of any other width.  Backends report their fitted ``model_``'s
+        width; unfitted ones report None.
         """
         model = getattr(self, "model_", None)
         return None if model is None else model.n_features_in_
@@ -133,34 +151,28 @@ class Estimator:
         inner = ", ".join(f"{k}={self.params[k]!r}" for k in sorted(self.params))
         return f"{name}({inner})"
 
-    @staticmethod
-    def _as_dataset(signals: np.ndarray) -> FingerprintDataset:
-        """Wrap raw RSSI rows so backends normalize them like training data."""
+    def _as_dataset(self, signals: np.ndarray) -> FingerprintDataset:
+        """Validate raw RSSI rows and wrap them for the fitted model.
+
+        Every backend's :meth:`predict_batch` comes through here, so a
+        direct call refuses what the front end's ``submit`` refuses
+        (:func:`check_signals`): a width other than
+        :attr:`n_features_in_`, and NaN or inf.
+        """
         signals = check_2d(signals, "signals")
-        n = len(signals)
-        return FingerprintDataset(
-            rssi=signals,
-            coordinates=np.zeros((n, 2)),
-            floor=np.zeros(n, dtype=int),
-            building=np.zeros(n, dtype=int),
-        )
+        check_signals(signals, self.n_features_in_)
+        return signals_dataset(signals)
 
-    #: Adapters without a kNN index to shard set this True so a
-    #: ``shards`` hyperparameter fans the *query batch* out instead.
-    #: Only safe when ``predict_fn`` is row-wise AND thread-safe (pure
-    #: reads of the fitted state); models that mutate shared state
-    #: during forward passes need their own replica per thread instead
-    #: (see :meth:`NObLeWifiEstimator.predict_batch`).
-    fanout_shards = False
 
-    def _shard_predictions(self, signals: np.ndarray, predict_fn) -> Prediction:
-        """Serve one batch, fanning chunks across threads when sharded."""
-        shards = int(self.params.get("shards", 1))
-        if not type(self).fanout_shards or shards <= 1 or len(signals) < 2:
-            return predict_fn(signals)
-        from repro.sharding import fanout_map
-
-        return concatenate(fanout_map(predict_fn, signals, shards))
+def signals_dataset(signals: np.ndarray) -> FingerprintDataset:
+    """Wrap raw RSSI rows so backends normalize them like training data."""
+    n = len(signals)
+    return FingerprintDataset(
+        rssi=signals,
+        coordinates=np.zeros((n, 2)),
+        floor=np.zeros(n, dtype=int),
+        building=np.zeros(n, dtype=int),
+    )
 
 
 def register(name: str):
@@ -211,40 +223,32 @@ def params_key(hyperparams: dict) -> str:
 
 
 # The canonical-param helpers (_canonical_seed, _dtype_param,
-# _quantize_param, _sharding_params) moved to repro.serving.pipeline —
-# the shared feature-space seam; the ones adapters still call are
-# re-imported above.
+# _quantize_param) live in repro.serving.pipeline — the shared
+# feature-space seam; the one adapters still call is re-imported above.
 
 # --------------------------------------------------------------------- adapters
 @register("knn")
 class KNNFingerprintingEstimator(Estimator):
     """Classic weighted-kNN fingerprinting behind the serving protocol.
 
-    ``shards > 1`` serves from an exact sharded radio-map index
-    (:class:`repro.sharding.ShardedKNNIndex`): both configurations keep
-    the lowest index among fingerprints tied at the k-th neighbor
-    distance, so sharded and monolithic predictions match exactly,
-    ties included.
+    One brute-force radio-map index; among fingerprints tied at the
+    k-th neighbor distance the lowest index wins.  ``quantize_bins``
+    (or ``transform={"bin": N}``) stores the map as uint8 codes.
     """
 
     def __init__(
         self,
         k: int = 5,
         weighted: bool = True,
-        shards: int = 1,
-        partitioner="auto",
         quantize_bins: "int | None" = None,
         transform=None,
     ):
         self._pipeline = FeaturePipeline.resolve(
             transform,
             backend="knn",
-            stages=("bin", "shard"),
-            shards=shards,
-            partitioner=partitioner,
+            stages=("bin",),
             quantize_bins=quantize_bins,
         )
-        self._partitioner = self._pipeline.partitioner
         super().__init__(
             k=int(k),
             weighted=bool(weighted),
@@ -255,11 +259,7 @@ class KNNFingerprintingEstimator(Estimator):
     def fit(self, dataset: FingerprintDataset) -> "KNNFingerprintingEstimator":
         from repro.localization.knn import KNNFingerprinting
 
-        kwargs = dict(self.params)
-        if "partitioner" in kwargs:
-            # the model needs the raw spec, not the cache-key string
-            kwargs["partitioner"] = self._partitioner
-        self.model_ = KNNFingerprinting(**kwargs).fit(dataset)
+        self.model_ = KNNFingerprinting(**self.params).fit(dataset)
         return self
 
     def predict_batch(self, signals: np.ndarray) -> Prediction:
@@ -277,7 +277,7 @@ class EmbeddedKNNEstimator(Estimator):
     The full feature-space pipeline: a learned embedder (§III-C — an
     NCA metric learner or an AE-pretrained MLP from
     :mod:`repro.embedding`) maps the radio map into a compact space at
-    fit, the existing sharded/quantized kNN index stack is built on the
+    fit, the existing (optionally quantized) kNN index is built on the
     *embedded* points, and query batches are embedded on the hot path
     before the neighbor scan.  Distances shrink from the raw WAP count
     to ``n_components``, so the scan is faster *and* — because the
@@ -292,7 +292,6 @@ class EmbeddedKNNEstimator(Estimator):
         create("embed-knn", transform={
             "embed": {"kind": "mlp", "n_components": 16},
             "bin": 16,
-            "shard": 4,
         })
     """
 
@@ -302,8 +301,6 @@ class EmbeddedKNNEstimator(Estimator):
         weighted: bool = True,
         embedder: "str | None" = None,
         embed_params: "dict | None" = None,
-        shards: int = 1,
-        partitioner="auto",
         quantize_bins: "int | None" = None,
         transform=None,
     ):
@@ -319,15 +316,12 @@ class EmbeddedKNNEstimator(Estimator):
         pipeline = FeaturePipeline.resolve(
             transform,
             backend="embed-knn",
-            stages=("embed", "bin", "shard"),
+            stages=("embed", "bin"),
             embedder=embedder,
             embed_params=embed_params,
-            shards=shards,
-            partitioner=partitioner,
             quantize_bins=quantize_bins,
         )
         self._pipeline = pipeline
-        self._partitioner = pipeline.partitioner
         super().__init__(
             k=int(k),
             weighted=bool(weighted),
@@ -345,9 +339,6 @@ class EmbeddedKNNEstimator(Estimator):
             for key, value in self.params.items()
             if key not in ("embedder", "embed_params")
         }
-        if "partitioner" in kwargs:
-            # the model needs the raw spec, not the cache-key string
-            kwargs["partitioner"] = self._partitioner
         self.model_ = KNNFingerprinting(embedder=embedder, **kwargs).fit(
             dataset
         )
@@ -382,7 +373,6 @@ class NObLeWifiEstimator(Estimator):
         lr: float = 1e-3,
         val_fraction: float = 0.0,
         seed=0,
-        shards: int = 1,
         dtype=None,
         quantize_bins: "int | None" = None,
         transform=None,
@@ -390,8 +380,7 @@ class NObLeWifiEstimator(Estimator):
         self._pipeline = FeaturePipeline.resolve(
             transform,
             backend="noble",
-            stages=("bin", "shard"),
-            shards=shards,
+            stages=("bin",),
             quantize_bins=quantize_bins,
             dtype=dtype,
         )
@@ -408,61 +397,16 @@ class NObLeWifiEstimator(Estimator):
             **self._pipeline.canonical_params(),
         )
         self.model_ = None
-        self._replicas_: list = []
 
     def fit(self, dataset: FingerprintDataset) -> "NObLeWifiEstimator":
         from repro.localization.noble import NObLeWifi
 
-        kwargs = {k: v for k, v in self.params.items() if k != "shards"}
-        self.model_ = NObLeWifi(**kwargs).fit(dataset)
-        self._replicas_ = []
+        self.model_ = NObLeWifi(**self.params).fit(dataset)
         return self
 
     def predict_batch(self, signals: np.ndarray) -> Prediction:
         check_fitted(self, "model_")
-        signals = check_2d(signals, "signals")
-        shards = int(self.params.get("shards", 1))
-        if shards <= 1 or len(signals) < 2:
-            return self._predict_with(self.model_, signals)
-        # the numpy nn caches activations on its modules for backward(),
-        # so one network must never serve two chunks concurrently: fan
-        # the batch out over per-thread replicas of the fitted model.
-        # Chunks beyond the core count can't run concurrently anyway, so
-        # cap there — it bounds the replicas held in memory too.
-        shards = min(shards, os.cpu_count() or 1)
-        if shards <= 1:
-            return self._predict_with(self.model_, signals)
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.sharding import fanout_slices
-
-        slices = fanout_slices(len(signals), shards)
-        models = self._predict_replicas(len(slices))
-        workers = len(slices)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda job: self._predict_with(job[0], signals[job[1]]),
-                    zip(models, slices),
-                )
-            )
-        return concatenate(parts)
-
-    def _predict_replicas(self, count: int) -> list:
-        """The fitted model plus ``count - 1`` deep copies, cached.
-
-        Replicas are built lazily on the first sharded predict and
-        reused across calls (``fit`` invalidates them), so steady-state
-        serving pays no copy cost.
-        """
-        import copy
-
-        while len(self._replicas_) < count - 1:
-            self._replicas_.append(copy.deepcopy(self.model_))
-        return [self.model_] + self._replicas_[: count - 1]
-
-    def _predict_with(self, model, signals: np.ndarray) -> Prediction:
-        detail = model.predict(self._as_dataset(signals))
+        detail = self.model_.predict(self._as_dataset(signals))
         return Prediction(
             coordinates=detail.coordinates,
             building=detail.building,
@@ -540,38 +484,30 @@ class _RegressorEstimator(Estimator):
     def predict_batch(self, signals: np.ndarray) -> Prediction:
         check_fitted(self, "model_")
         normalized = self._as_dataset(signals).normalized_signals()
-        return self._shard_predictions(
-            normalized,
-            lambda chunk: Prediction(coordinates=self.model_.predict(chunk)),
-        )
+        return Prediction(coordinates=self.model_.predict(normalized))
 
 
 @register("knn-regressor")
 class KNNRegressorEstimator(_RegressorEstimator):
     """Generic kNN regression (signals → coordinates) for serving.
 
-    ``shards > 1`` shards the underlying index (exact merge), so the
-    served coordinates equal the monolithic configuration's.
+    One brute-force index over the normalized signals, optionally
+    quantized (``quantize_bins`` / ``transform={"bin": N}``).
     """
 
     def __init__(
         self,
         k: int = 5,
         weights: str = "uniform",
-        shards: int = 1,
-        partitioner="kmeans",
         quantize_bins: "int | None" = None,
         transform=None,
     ):
         self._pipeline = FeaturePipeline.resolve(
             transform,
             backend="knn-regressor",
-            stages=("bin", "shard"),
-            shards=shards,
-            partitioner=partitioner,
+            stages=("bin",),
             quantize_bins=quantize_bins,
         )
-        self._partitioner = self._pipeline.partitioner
         super().__init__(
             k=int(k),
             weights=weights,
@@ -582,10 +518,7 @@ class KNNRegressorEstimator(_RegressorEstimator):
     def _build(self):
         from repro.ml.knn_regressor import KNNRegressor
 
-        kwargs = dict(self.params)
-        if "partitioner" in kwargs:
-            kwargs["partitioner"] = self._partitioner
-        return KNNRegressor(**kwargs)
+        return KNNRegressor(**self.params)
 
 
 @register("ensemble")
@@ -768,24 +701,18 @@ class RandomForestEstimator(_RegressorEstimator):
         max_depth: "int | None" = 8,
         min_samples_leaf: int = 1,
         seed=0,
-        shards: int = 1,
     ):
         super().__init__(
             n_estimators=int(n_estimators),
             max_depth=None if max_depth is None else int(max_depth),
             min_samples_leaf=int(min_samples_leaf),
             seed=_canonical_seed(seed),
-            **_sharding_params(shards),
         )
         self.model_ = None
-
-    fanout_shards = True  # trees predict row-wise: fan the batch out
 
     def _build(self):
         from repro.ml.forest import RandomForestRegressor
 
-        params = {
-            k: v for k, v in self.params.items() if k != "shards"
-        }
+        params = dict(self.params)
         params["rng"] = params.pop("seed")
         return RandomForestRegressor(**params)

@@ -130,4 +130,4 @@ class TestCLI:
         from repro.cli import main
 
         with pytest.raises(SystemExit):
-            main(["shard-bench", "--preset", "smoke"])
+            main(["energy", "--preset", "smoke"])

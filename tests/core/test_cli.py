@@ -31,11 +31,12 @@ class TestCLIParsing:
             ["track-bench"],
             ["serve-bench", "--async"],
             ["serve-bench", "--workers", "2"],
+            ["shard-bench"],
         ],
     )
     def test_removed_bench_commands_rejected(self, argv, capsys):
         # every serving block runs through serve-bench alone, and the
-        # process-worker sweep is gone with the tier it measured
+        # process-worker and shard sweeps are gone with what they measured
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv + ["--preset", "smoke"])
         assert excinfo.value.code == 2  # an argparse usage error

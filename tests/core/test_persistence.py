@@ -99,10 +99,9 @@ from repro.serving import available, create
 
 
 #: Small-but-real configurations, one per registered backend (plus the
-#: sharded kNN variant the ISSUE singles out).
+#: float32 NObLe variant).
 ARTIFACT_CONFIGS = {
     "knn": {"k": 3},
-    "knn-sharded": {"k": 3, "shards": 3},
     "knn-regressor": {"k": 3},
     "forest": {"n_estimators": 4, "max_depth": 4},
     "noble": {"epochs": 2, "hidden": 16, "val_fraction": 0.0},
@@ -120,7 +119,6 @@ ARTIFACT_CONFIGS = {
 }
 
 _BACKEND_OF = {
-    "knn-sharded": "knn",
     "noble-float32": "noble",
 }
 
@@ -183,32 +181,6 @@ class TestEstimatorRoundTrips:
         assert restored.describe() == estimator.describe()
         assert json.dumps(restored.params, sort_keys=True) == json.dumps(
             estimator.params, sort_keys=True
-        )
-
-    def test_sharded_restore_skips_partition_fit(
-        self, fitted_estimators, tmp_path, monkeypatch
-    ):
-        from repro.sharding import ShardedKNNIndex
-        from repro.sharding.partitioner import Partitioner
-
-        estimator = fitted_estimators["knn-sharded"]
-        path = tmp_path / "sharded.npz"
-        save_estimator(estimator, path)
-
-        def _boom(self, points, labels=None):  # pragma: no cover - guard
-            raise AssertionError("restore must not re-run the partitioner")
-
-        for cls in Partitioner.__subclasses__():
-            monkeypatch.setattr(cls, "assign", _boom, raising=False)
-        monkeypatch.setattr(Partitioner, "assign", _boom)
-        restored = load_estimator(path)
-        index = restored.model_.index_
-        assert isinstance(index, ShardedKNNIndex)
-        original_index = estimator.model_.index_
-        assert index.shard_sizes == original_index.shard_sizes
-        assert (
-            index.partitioner.describe()
-            == original_index.partitioner.describe()
         )
 
     def test_ensemble_round_trip_preserves_routing(
@@ -323,6 +295,36 @@ class TestArtifactErrorPaths:
         with pytest.raises(ArtifactError, match="store key"):
             load_estimator(path, expected_store_key=("knn", "other", "params"))
 
+    @pytest.mark.parametrize(
+        "sharding",
+        [{"shards": 3}, {"shards": 3, "partitioner": "auto"}],
+        ids=["shards", "shards+partitioner"],
+    )
+    def test_sharding_params_rejected(self, fitted_knn, tmp_path, sharding):
+        # an artifact keyed with the removed shards= hyperparameter must
+        # fail typed, never load as the unsharded model
+        path = self._tampered(
+            fitted_knn, tmp_path,
+            lambda env: env["params"].update(sharding),
+        )
+        with pytest.raises(ArtifactError, match="shards"):
+            load_estimator(path)
+
+    def test_legacy_unsharded_index_meta_loads(
+        self, fitted_knn, uji_split, tmp_path
+    ):
+        # artifacts written while sharded indexes existed tag their
+        # index "sharded": false; the reader ignores the tag
+        _train, _val, test = uji_split
+        path = self._tampered(
+            fitted_knn, tmp_path,
+            lambda env: env["meta"]["index"].update(sharded=False),
+        )
+        np.testing.assert_array_equal(
+            load_estimator(path).predict_batch(test.rssi).coordinates,
+            fitted_knn.predict_batch(test.rssi).coordinates,
+        )
+
     def test_unkeyed_artifact_rejected_under_expected_key(
         self, fitted_knn, tmp_path
     ):
@@ -332,56 +334,26 @@ class TestArtifactErrorPaths:
             load_estimator(path, expected_store_key=("knn", "fp", "params"))
 
 
-class TestRestoredRefitBehavior:
-    """A restored estimator's fit() path after the round trip."""
+class TestDirectPathValidation:
+    """``predict_batch`` refuses what ``ServingFrontend.submit`` refuses."""
 
-    def test_spec_string_partitioner_stays_refittable(
-        self, uji_split, tmp_path
+    @pytest.mark.parametrize("restored", [False, True], ids=["fresh", "warm"])
+    @pytest.mark.parametrize("label", sorted(ARTIFACT_CONFIGS))
+    def test_bad_scans_refused(
+        self, label, restored, fitted_estimators, uji_split, tmp_path
     ):
-        train, _val, test = uji_split
-        fitted = create("knn", k=3, shards=3).fit(train)  # partitioner="auto"
-        path = tmp_path / "spec.npz"
-        save_estimator(fitted, path)
-        restored = load_estimator(path)
-        restored.fit(train)  # a spec string survives: refit just works
-        np.testing.assert_array_equal(
-            fitted.predict_batch(test.rssi).coordinates,
-            restored.predict_batch(test.rssi).coordinates,
-        )
-
-    def test_custom_partitioner_instance_refit_raises_clearly(
-        self, uji_split, tmp_path
-    ):
-        from repro.sharding import KMeansPartitioner
-
-        train, _val, test = uji_split
-        fitted = create(
-            "knn", k=3, shards=3, partitioner=KMeansPartitioner(3)
-        ).fit(train)
-        path = tmp_path / "instance.npz"
-        save_estimator(fitted, path)
-        restored = load_estimator(path)
-        # serving works — bit-identical
-        np.testing.assert_array_equal(
-            fitted.predict_batch(test.rssi).coordinates,
-            restored.predict_batch(test.rssi).coordinates,
-        )
-        # but the instance is gone, so a refit must say so usefully
-        # (not choke on the recorded describe() string)
-        with pytest.raises(RuntimeError, match="cannot re-partition"):
-            restored.fit(train)
-
-    def test_custom_partitioner_regressor_refit_raises_clearly(
-        self, uji_split, tmp_path
-    ):
-        from repro.sharding import KMeansPartitioner
-
-        train, _val, _test = uji_split
-        fitted = create(
-            "knn-regressor", k=3, shards=3, partitioner=KMeansPartitioner(3)
-        ).fit(train)
-        path = tmp_path / "reg.npz"
-        save_estimator(fitted, path)
-        restored = load_estimator(path)
-        with pytest.raises(RuntimeError, match="cannot re-partition"):
-            restored.fit(train)
+        _train, _val, test = uji_split
+        estimator = fitted_estimators[label]
+        if restored:
+            save_estimator(estimator, tmp_path / "e.npz")
+            estimator = load_estimator(tmp_path / "e.npz")
+        rows = test.rssi[:3].astype(float)
+        rows[1] = np.nan
+        with pytest.raises(ValueError, match="NaN or inf"):
+            estimator.predict_batch(rows)
+        rows[1] = test.rssi[1]
+        rows[1, 0] = np.inf
+        with pytest.raises(ValueError, match="NaN or inf"):
+            estimator.predict_batch(rows)
+        with pytest.raises(ValueError, match="width"):
+            estimator.predict_batch(np.zeros((2, test.n_aps + 1)))

@@ -232,28 +232,6 @@ class TestReviewHardening:
         assert cache.get_or_fit("knn", train, k=3) is fitted
         assert cache.stats().hits == 1
 
-    def test_out_of_range_shard_artifact_is_soft_miss(self, store, train):
-        fitted = create("knn", k=3, shards=3).fit(train)
-        name, fingerprint, pkey = _key_of("knn", train, k=3, shards=3)
-        path = store.put(name, fingerprint, pkey, fitted)
-        with np.load(path) as archive:
-            arrays = {key: archive[key] for key in archive.files}
-        concat = arrays["index.shard_concat"].copy()
-        concat[0] = 10**9  # points far outside the map
-        arrays["index.shard_concat"] = concat
-        np.savez_compressed(path, **arrays)
-        # the corruption through load_estimator is a hard ArtifactError
-        # (checked first: store.get quarantines the file away below)
-        from repro.core.persistence import ArtifactError, load_estimator
-
-        with pytest.raises(ArtifactError, match="incomplete|out-of-range"):
-            load_estimator(path, expected_store_key=(name, fingerprint, pkey))
-        with pytest.warns(RuntimeWarning, match="unreadable"):
-            assert store.get(name, fingerprint, pkey) is None
-        # quarantined aside, not deleted: forensics keep the bad bytes
-        assert not os.path.exists(path)
-        assert os.path.exists(path + ".corrupt")
-
     def test_orphaned_tmp_files_are_not_artifacts(self, store, train):
         fitted = create("knn", k=3).fit(train)
         path = store.put(*_key_of("knn", train, k=3), fitted)

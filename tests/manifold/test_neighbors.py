@@ -134,31 +134,6 @@ class TestKExcessPolicy:
             index.query(RNG.normal(size=(1, 2)), k=2, on_excess="pad")
 
 
-class TestShardedPaths:
-    """shards= routing must be invisible in the results."""
-
-    def test_kneighbors_sharded_equals_monolithic(self):
-        points = RNG.normal(size=(60, 4))
-        d_mono, _ = kneighbors(points, k=5)
-        d_shard, i_shard = kneighbors(points, k=5, shards=3)
-        np.testing.assert_allclose(d_shard, d_mono, rtol=1e-9, atol=1e-9)
-        assert not np.any(i_shard == np.arange(60)[:, None])
-
-    def test_epsilon_neighbors_sharded_equals_monolithic(self):
-        points = RNG.normal(size=(50, 3))
-        mono = epsilon_neighbors(points, radius=1.5)
-        for shards in (2, 5, 50, 64):
-            sharded = epsilon_neighbors(points, radius=1.5, shards=shards)
-            assert len(sharded) == len(mono)
-            for row_sharded, row_mono in zip(sharded, mono):
-                np.testing.assert_array_equal(row_sharded, row_mono)
-                assert row_sharded.dtype.kind == "i"
-
-    def test_epsilon_neighbors_invalid_shards(self):
-        with pytest.raises(ValueError, match="shards"):
-            epsilon_neighbors(RNG.normal(size=(5, 2)), radius=1.0, shards=0)
-
-
 class TestKneighbors:
     def test_excludes_self(self):
         points = RNG.normal(size=(15, 3))

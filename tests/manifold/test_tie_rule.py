@@ -4,7 +4,7 @@ Every scan configuration is checked for *exact index equality* against
 one oracle — a stable argsort of the full float64 distance matrix — on
 duplicate-heavy integer maps, where every distance is computed exactly
 and exact twins tie at the k-th distance all the time.  Maps are
-permuted so twins sit in different tiles and different shards.
+permuted so twins sit in different tiles.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.manifold.chunked import chunked_argkmin
 from repro.manifold.neighbors import KNNIndex, kneighbors
 from repro.quantization import FeatureBinner
 from repro.quantization.binning import BinnedPoints
-from repro.sharding import ChunkPartitioner, ShardedKNNIndex
 
 TIE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -143,43 +142,30 @@ class TestIndexes:
         np.testing.assert_allclose(dist, odist, rtol=1e-6)
 
     @TIE_SETTINGS
-    @given(
-        n_shards=st.integers(2, 4),
-        prune=st.booleans(),
-        max_workers=st.sampled_from([1, 4]),
-        **map_params,
-    )
-    def test_sharded_index(
-        self, seed, n_unique, copies, dim, k, n_shards, prune, max_workers
-    ):
+    @given(**map_params)
+    def test_refined_knn_index(self, seed, n_unique, copies, dim, k):
+        # a shortlist as long as the map: the exact rerank alone decides
         points, rng = duplicate_map(seed, n_unique, copies, dim)
-        queries = rng.integers(-3, 4, size=(6, dim)).astype(float)
+        queries = rng.integers(-3, 4, size=(5, dim)).astype(float)
         k = min(k, len(points))
-        sharded = ShardedKNNIndex(
-            points,
-            partitioner=ChunkPartitioner(n_shards),
-            method="brute",
-            prune=prune,
-            max_workers=max_workers,
+        binner = FeatureBinner(n_bins=4).fit(points)
+        index = KNNIndex(
+            points, method="brute", binner=binner, refine=len(points)
         )
-        dist, idx = sharded.query(queries, k)
+        dist, idx = index.query(queries, k)
         odist, oidx = oracle(queries, points, k)
         np.testing.assert_array_equal(idx, oidx)
         np.testing.assert_array_equal(dist, odist)
-        mono = KNNIndex(points, method="brute").query(queries, k)
-        np.testing.assert_array_equal(idx, mono[1])
 
     @TIE_SETTINGS
-    @given(n_shards=st.integers(1, 4), **map_params)
-    def test_exclude_self(self, seed, n_unique, copies, dim, k, n_shards):
+    @given(**map_params)
+    def test_exclude_self(self, seed, n_unique, copies, dim, k):
         points, _rng = duplicate_map(seed, n_unique, copies, dim)
         if len(points) < 2:
             return
         k = min(k, len(points) - 1)
         odist, oidx = oracle(points, points, k, exclude_self=True)
-        dist, idx = kneighbors(
-            points, k, method="brute", shards=n_shards, partitioner="chunk"
-        )
+        dist, idx = kneighbors(points, k, method="brute")
         np.testing.assert_array_equal(idx, oidx)
         np.testing.assert_array_equal(dist, odist)
 

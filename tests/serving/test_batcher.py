@@ -1,4 +1,4 @@
-"""Micro-batcher: ticket lifecycle and batched == per-query equivalence."""
+"""Micro-batcher: batched == single-call equivalence."""
 
 import numpy as np
 import pytest
@@ -12,158 +12,13 @@ def fitted_knn(uji_split):
     return create("knn", k=3).fit(train)
 
 
-class TestTicketLifecycle:
-    def test_result_before_flush_raises(self, fitted_knn):
-        batcher = MicroBatcher(fitted_knn, batch_size=8)
-        ticket = batcher.submit(np.full(100, 100.0))
-        assert not ticket.ready
-        with pytest.raises(RuntimeError, match="pending"):
-            ticket.result()
-
-    def test_flush_resolves_all_pending(self, fitted_knn, uji_split):
-        _train, _val, test = uji_split
-        batcher = MicroBatcher(fitted_knn, batch_size=100)
-        tickets = [batcher.submit(row) for row in test.rssi[:7]]
-        assert batcher.n_pending == 7
-        assert batcher.flush() == 7
-        assert batcher.n_pending == 0
-        assert all(t.ready for t in tickets)
-        assert batcher.n_batches == 1
-
-    def test_full_batch_auto_flushes(self, fitted_knn, uji_split):
-        _train, _val, test = uji_split
-        batcher = MicroBatcher(fitted_knn, batch_size=4)
-        tickets = [batcher.submit(row) for row in test.rssi[:4]]
-        assert all(t.ready for t in tickets)  # flushed inside submit
-        assert batcher.n_batches == 1
-        assert batcher.flush() == 0  # nothing left
-
-    def test_submit_rejects_matrices(self, fitted_knn):
-        batcher = MicroBatcher(fitted_knn)
-        with pytest.raises(ValueError, match="single"):
-            batcher.submit(np.zeros((2, 100)))
-
-    def test_submit_rejects_width_mismatch(self, fitted_knn, uji_split):
-        _train, _val, test = uji_split
-        batcher = MicroBatcher(fitted_knn, batch_size=8)
-        batcher.submit(test.rssi[0])
-        with pytest.raises(ValueError, match="width"):
-            batcher.submit(np.zeros(test.n_aps + 1))
-        assert batcher.n_pending == 1  # good row still queued
-        assert batcher.flush() == 1
-
-    def test_failed_flush_keeps_queue(self, uji_split):
-        _train, _val, test = uji_split
-        unfitted = create("knn", k=3)  # predict_batch raises RuntimeError
-        batcher = MicroBatcher(unfitted, batch_size=8)
-        ticket = batcher.submit(test.rssi[0])
-        with pytest.raises(RuntimeError, match="not fitted"):
-            batcher.flush()
-        assert batcher.n_pending == 1  # retryable, not dropped
-        assert not ticket.ready
-
-    def test_discard_pending_recovers_poisoned_queue(self, fitted_knn, uji_split):
-        _train, _val, test = uji_split
-        batcher = MicroBatcher(fitted_knn, batch_size=8)
-        batcher.submit(np.zeros(test.n_aps + 1))  # wrong width vs the index
-        with pytest.raises(ValueError, match="dim"):
-            batcher.flush()
-        assert batcher.discard_pending() == 1
-        ticket = batcher.submit(test.rssi[0])  # serviceable again
-        assert batcher.flush() == 1
-        assert ticket.ready
-
-    def test_failed_auto_flush_unwinds_the_raising_submit(self, uji_split):
-        _train, _val, test = uji_split
-        batcher = MicroBatcher(create("knn", k=3), batch_size=2)  # unfitted
-        held = batcher.submit(test.rssi[0])
-        with pytest.raises(RuntimeError, match="not fitted"):
-            batcher.submit(test.rssi[1])  # fills the batch, auto-flush fails
-        # caller never got the 2nd ticket, so only the held query stays queued
-        assert batcher.n_pending == 1
-        assert batcher.n_requests == 1
-        assert not held.ready
-
+class TestConstruction:
     def test_invalid_batch_size(self, fitted_knn):
         with pytest.raises(ValueError):
             MicroBatcher(fitted_knn, batch_size=0)
 
 
-class TestErrorPathEdges:
-    """The previously untested edges: double-flush, discard interplay,
-    repeated results."""
-
-    def test_double_flush_second_is_a_noop(self, fitted_knn, uji_split):
-        _train, _val, test = uji_split
-        batcher = MicroBatcher(fitted_knn, batch_size=8)
-        ticket = batcher.submit(test.rssi[0])
-        assert batcher.flush() == 1
-        first = ticket.result()
-        assert batcher.flush() == 0  # nothing pending: no model call
-        assert batcher.n_batches == 1  # the empty flush is not a batch
-        assert ticket.result() is first  # resolution is stable
-
-    def test_result_repeated_returns_same_object(self, fitted_knn, uji_split):
-        _train, _val, test = uji_split
-        batcher = MicroBatcher(fitted_knn, batch_size=8)
-        ticket = batcher.submit(test.rssi[0])
-        batcher.flush()
-        assert ticket.result() is ticket.result()
-
-    def test_discard_then_flush_returns_zero(self, fitted_knn, uji_split):
-        _train, _val, test = uji_split
-        batcher = MicroBatcher(fitted_knn, batch_size=8)
-        tickets = [batcher.submit(row) for row in test.rssi[:3]]
-        assert batcher.discard_pending() == 3
-        assert batcher.flush() == 0
-        assert batcher.n_batches == 0
-        # discarded tickets stay permanently unresolved, as documented
-        for ticket in tickets:
-            assert not ticket.ready
-            with pytest.raises(RuntimeError, match="pending"):
-                ticket.result()
-
-    def test_discard_on_empty_queue_returns_zero(self, fitted_knn):
-        batcher = MicroBatcher(fitted_knn, batch_size=8)
-        assert batcher.discard_pending() == 0
-
-    def test_discard_keeps_submission_counter(self, fitted_knn, uji_split):
-        _train, _val, test = uji_split
-        batcher = MicroBatcher(fitted_knn, batch_size=8)
-        batcher.submit(test.rssi[0])
-        batcher.submit(test.rssi[1])
-        batcher.discard_pending()
-        # n_requests counts submissions (load), not completions
-        assert batcher.n_requests == 2
-        assert batcher.n_pending == 0
-
-    def test_submit_after_discard_serves_normally(self, fitted_knn, uji_split):
-        _train, _val, test = uji_split
-        batcher = MicroBatcher(fitted_knn, batch_size=8)
-        batcher.submit(test.rssi[0])
-        batcher.discard_pending()
-        ticket = batcher.submit(test.rssi[1])
-        assert batcher.flush() == 1
-        np.testing.assert_allclose(
-            ticket.result().coordinates,
-            fitted_knn.predict_batch(test.rssi[1:2]).coordinates,
-        )
-
-
 class TestEquivalence:
-    def test_tickets_match_per_query_predictions(self, fitted_knn, uji_split):
-        _train, _val, test = uji_split
-        queries = test.rssi[:10]
-        batcher = MicroBatcher(fitted_knn, batch_size=3)
-        tickets = [batcher.submit(row) for row in queries]
-        batcher.flush()
-        for row, ticket in zip(queries, tickets):
-            direct = fitted_knn.predict_batch(row[None, :])
-            result = ticket.result()
-            np.testing.assert_allclose(result.coordinates, direct.coordinates)
-            np.testing.assert_array_equal(result.building, direct.building)
-            np.testing.assert_array_equal(result.floor, direct.floor)
-
     @pytest.mark.parametrize("batch_size", [1, 3, 16, 64])
     def test_predict_many_matches_single_call(
         self, fitted_knn, uji_split, batch_size
@@ -179,19 +34,6 @@ class TestEquivalence:
         expected_batches = -(-len(test) // batch_size)
         assert batcher.n_batches == expected_batches
 
-    def test_predict_many_resolves_pending_submits_first(
-        self, fitted_knn, uji_split
-    ):
-        _train, _val, test = uji_split
-        batcher = MicroBatcher(fitted_knn, batch_size=64)
-        ticket = batcher.submit(test.rssi[0])
-        batcher.predict_many(test.rssi[1:5])
-        assert batcher.n_pending == 0
-        np.testing.assert_allclose(
-            ticket.result().coordinates,
-            fitted_knn.predict_batch(test.rssi[:1]).coordinates,
-        )
-
     def test_predict_many_empty_keeps_label_heads(self, fitted_knn, uji_split):
         _train, _val, test = uji_split
         empty = MicroBatcher(fitted_knn).predict_many(
@@ -204,12 +46,3 @@ class TestEquivalence:
     def test_predict_many_rejects_1d(self, fitted_knn):
         with pytest.raises(ValueError, match="2-D"):
             MicroBatcher(fitted_knn).predict_many(np.zeros(100))
-
-    def test_counters_accumulate_across_modes(self, fitted_knn, uji_split):
-        _train, _val, test = uji_split
-        batcher = MicroBatcher(fitted_knn, batch_size=5)
-        batcher.submit(test.rssi[0])
-        batcher.flush()
-        batcher.predict_many(test.rssi[:10])
-        assert batcher.n_requests == 11
-        assert batcher.n_batches == 3

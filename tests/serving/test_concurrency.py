@@ -1,9 +1,9 @@
 """Concurrency stress: producers vs the synchronous oracle, stampedes.
 
-These are the ISSUE's headline tests: N producer threads hammer the
-async front end (and the shared batcher/cache) while the synchronous
-path serves as the correctness oracle.  Marked ``slow`` — `make
-test-fast` skips them, full `make test` (and `make check`) runs them.
+N producer threads hammer the async front end (and the shared model
+cache) while the synchronous path serves as the correctness oracle.
+Marked ``slow`` — `make test-fast` skips them, full `make test` (and
+`make check`) runs them.
 
 Every join carries a generous real-time timeout followed by an
 ``is_alive`` assertion, so a deadlock surfaces as a test failure
@@ -21,7 +21,6 @@ from repro.serving import (
     Estimator,
     FrontendClosedError,
     ModelCache,
-    MicroBatcher,
     Prediction,
     ServingFrontend,
     available,
@@ -183,39 +182,6 @@ class TestFrontendStampede:
             error = ticket.exception()
             # served before close, or cancelled at shutdown — never stuck
             assert error is None or isinstance(error, FrontendClosedError)
-
-
-class TestMicroBatcherConcurrency:
-    def test_concurrent_submits_lose_nothing(self, fitted_knn, query_matrix):
-        oracle = fitted_knn.predict_batch(query_matrix)
-        n_producers = 8
-        # batch_size 7 never divides a lane evenly: auto-flushes run on
-        # batches interleaved across producers
-        batcher = MicroBatcher(fitted_knn, batch_size=7)
-        tickets = [None] * len(query_matrix)
-
-        def producer(lane: int) -> None:
-            for i in range(lane, len(query_matrix), n_producers):
-                tickets[i] = batcher.submit(query_matrix[i])
-
-        threads = [
-            threading.Thread(target=producer, args=(lane,), name=f"prod-{lane}")
-            for lane in range(n_producers)
-        ]
-        for thread in threads:
-            thread.start()
-        _join_all(threads)
-        batcher.flush()
-
-        assert batcher.n_requests == len(query_matrix)
-        assert batcher.n_pending == 0
-        assert all(t is not None and t.ready for t in tickets)
-        for i, ticket in enumerate(tickets):
-            np.testing.assert_allclose(
-                ticket.result().coordinates,
-                oracle.coordinates[i : i + 1],
-                rtol=0.0, atol=1e-9,
-            )
 
 
 # --------------------------------------------------------------------------

@@ -101,6 +101,16 @@ class TestServing:
         assert description.startswith("embed-knn(")
         assert "embedder='mlp'" in description
 
+    def test_bad_scans_refused(self, fitted, uji_split):
+        # the width is the raw WAP count, not the embedding's
+        _train, _val, test = uji_split
+        rows = test.rssi[:2].astype(float)
+        rows[0] = np.nan
+        with pytest.raises(ValueError, match="NaN or inf"):
+            fitted.predict_batch(rows)
+        with pytest.raises(ValueError, match="width"):
+            fitted.predict_batch(np.zeros((2, test.n_aps + 1)))
+
 
 class TestArtifactRoundTrip:
     def test_store_warm_restore_is_bit_identical(

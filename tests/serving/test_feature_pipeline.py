@@ -22,17 +22,10 @@ class TestCacheKeyStability:
             "[('k', 5), ('weighted', True)]"
         )
 
-    def test_knn_sharded_key(self):
-        assert params_key(create("knn", shards=4).params) == (
-            "[('k', 5), ('partitioner', 'auto'), ('shards', 4), "
-            "('weighted', True)]"
-        )
-
-    def test_knn_full_legacy_key(self):
-        est = create("knn", shards=4, quantize_bins=16)
+    def test_knn_quantized_key(self):
+        est = create("knn", quantize_bins=16)
         assert params_key(est.params) == (
-            "[('k', 5), ('partitioner', 'auto'), ('quantize_bins', 16), "
-            "('shards', 4), ('weighted', True)]"
+            "[('k', 5), ('quantize_bins', 16), ('weighted', True)]"
         )
 
     def test_knn_regressor_default_key(self):
@@ -49,14 +42,13 @@ class TestCacheKeyStability:
         )
 
     def test_absent_by_default_stages(self):
-        # shards=1 / quantize_bins=None / dtype=None contribute no key
-        # at all — the invariant that keeps pre-seam artifacts resolving
+        # quantize_bins=None / dtype=None contribute no key at all —
+        # the invariant that keeps pre-seam artifacts resolving
         for backend in ("knn", "knn-regressor", "noble", "cnnloc"):
             params = create(backend).params
-            assert "shards" not in params
             assert "quantize_bins" not in params
             assert "dtype" not in params
-        explicit = create("knn", shards=1, quantize_bins=None)
+        explicit = create("knn", quantize_bins=None)
         assert explicit.params == create("knn").params
 
     def test_dtype_spellings_share_a_key(self):
@@ -73,19 +65,9 @@ class TestCacheKeyStability:
 class TestTransformSpelling:
     def test_transform_keys_like_legacy_kwargs(self):
         pairs = [
-            ("knn", dict(shards=4), {"shard": 4}),
             ("knn", dict(quantize_bins=16), {"bin": 16}),
-            (
-                "knn",
-                dict(shards=2, quantize_bins=64),
-                {"shard": 2, "bin": 64},
-            ),
             ("noble", dict(dtype="float32"), {"dtype": "float32"}),
-            (
-                "knn-regressor",
-                dict(shards=3, partitioner="chunk"),
-                {"shard": {"shards": 3, "partitioner": "chunk"}},
-            ),
+            ("knn-regressor", dict(quantize_bins=64), {"bin": 64}),
         ]
         for backend, legacy, transform in pairs:
             a = create(backend, **legacy)
@@ -113,18 +95,17 @@ class TestTransformSpelling:
 
     def test_pipeline_instance_as_transform(self):
         pipeline = FeaturePipeline(
-            backend="knn", stages=("bin", "shard"), shards=2,
-            partitioner="kmeans", quantize_bins=32,
+            backend="knn", stages=("bin",), quantize_bins=32
         )
         a = create("knn", transform=pipeline)
-        b = create("knn", shards=2, partitioner="kmeans", quantize_bins=32)
+        b = create("knn", quantize_bins=32)
         assert a.params == b.params
 
     def test_spec_round_trips(self):
         pipeline = FeaturePipeline(
             backend="embed-knn", stages=PIPELINE_STAGES,
             embedder="mlp", embed_params={"n_components": 8},
-            shards=2, quantize_bins=16, dtype="float32",
+            quantize_bins=16, dtype="float32",
         )
         rebuilt = FeaturePipeline.resolve(
             pipeline.spec(), backend="embed-knn", stages=PIPELINE_STAGES
@@ -136,10 +117,6 @@ class TestConflicts:
     def test_bin_stage_conflicts_with_quantize_bins(self):
         with pytest.raises(ValueError, match="one spelling"):
             create("knn", quantize_bins=16, transform={"bin": 16})
-
-    def test_shard_stage_conflicts_with_shards(self):
-        with pytest.raises(ValueError, match="one spelling"):
-            create("knn", shards=2, transform={"shard": 2})
 
     def test_dtype_stage_conflicts_with_dtype(self):
         with pytest.raises(ValueError, match="one spelling"):
@@ -158,11 +135,6 @@ class TestStageGating:
         for backend in ("knn", "knn-regressor", "noble", "cnnloc"):
             with pytest.raises(ValueError, match="embed-knn"):
                 create(backend, transform={"embed": "mlp"})
-
-    def test_shard_stage_rejected_on_unsharded_backends(self):
-        for backend in ("cnnloc", "ensemble"):
-            with pytest.raises(ValueError, match="no sharding stage"):
-                create(backend, transform={"shard": 2})
 
     def test_embed_params_require_an_embedder(self):
         with pytest.raises(ValueError, match="embed_params"):
@@ -197,23 +169,25 @@ class TestResolveValidation:
         with pytest.raises(TypeError, match="embed stage"):
             create("embed-knn", transform={"embed": 16})
 
-    def test_shard_spec_rejects_extras(self):
-        with pytest.raises(ValueError, match="shard stage"):
-            create("knn", transform={"shard": {"shards": 2, "k": 3}})
-
-    def test_partitioner_shard_count_mismatch(self):
-        from repro.sharding import make_partitioner
-
-        partitioner = make_partitioner("kmeans", n_shards=3)
-        with pytest.raises(ValueError, match="n_shards"):
-            create("knn", shards=2, partitioner=partitioner)
-
     def test_bad_quantize_bins_fail_at_construction(self):
         with pytest.raises(ValueError, match="quantize_bins"):
             create("knn", transform={"bin": 1})
         with pytest.raises(ValueError, match="quantize_bins"):
             create("embed-knn", quantize_bins=100_000)
 
-    def test_bad_shards_fail_at_construction(self):
-        with pytest.raises(ValueError, match="shards"):
-            create("knn", shards=0)
+
+class TestNoShardStage:
+    """One kNN index per backend: no shard stage, no sharding kwargs."""
+
+    @pytest.mark.parametrize(
+        "backend", ["knn", "knn-regressor", "noble", "forest"]
+    )
+    def test_sharding_refused_at_construction(self, backend):
+        with pytest.raises((TypeError, ValueError)):
+            create(backend, shards=2)
+        with pytest.raises((TypeError, ValueError)):
+            create(backend, transform={"shard": 2})
+
+    def test_partitioner_refused_at_construction(self):
+        with pytest.raises(TypeError, match="partitioner"):
+            create("knn", partitioner="kmeans")

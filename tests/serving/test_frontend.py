@@ -281,7 +281,7 @@ class TestValidation:
 
 
 class TestMonotonicLatency:
-    """Ticket latency is measured on the injected monotonic clock only
+    """AsyncTicket latency is measured on the injected monotonic clock only
     (PR 6 audit): a wall-clock step — NTP slew, DST, operator `date`
     — during a request must never corrupt ``latency_s``.
     """
