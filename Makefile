@@ -54,10 +54,9 @@ clean-pyc:
 # The serving benchmark: sweeps flush deadline vs throughput through
 # the async front end with concurrent producers, asserts prediction
 # parity + the headline speedup over per-query serving, then runs the
-# quantized uint8 scan, the learned-embedding kNN, the chaos overload
-# burst, the streaming-session harness and the model-store
-# cold-vs-warm restart leg, asserting each block's preset floors, and
-# writes BENCH_serve.json.
+# learned-embedding kNN, the chaos overload burst, the streaming-session
+# harness and the model-store cold-vs-warm restart leg, asserting each
+# block's preset floors, and writes BENCH_serve.json.
 serve-bench:
 	rm -rf /tmp/repro-model-store.bench
 	PYTHONPATH=src $(PYTHON) -m repro.cli serve-bench \

@@ -11,11 +11,10 @@ restore serves bit-identical predictions without re-training either
 stage, through the same deadline-driven front end.
 
 The full composed pipeline is one ``transform=`` dict: the learned
-embed stage, then a uint8 quantized index over the embedded points::
+embed stage, then the kNN index over the embedded points::
 
     create("embed-knn", transform={
         "embed": {"kind": "mlp", "n_components": 16},
-        "bin": 256,
     })
 
 Run:  python examples/embed_serve.py
@@ -45,7 +44,6 @@ HYPERPARAMS = dict(
             "kind": "mlp", "n_components": 16, "hidden": [64],
             "pretrain_epochs": 3, "epochs": 30,
         },
-        "bin": 256,
     },
 )
 
@@ -64,13 +62,12 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as store_dir:
         store = ModelStore(store_dir)
 
-        # --- fit once: embedder + embedded uint8 index ----------------
+        # --- fit once: embedder + embedded index ---------------------
         cache = ModelCache(capacity=4, store=store)
         embedded = cache.get_or_fit("embed-knn", train, **HYPERPARAMS)
         model = embedded.model_
         print(f"embedded index    : {train.n_aps}-dim raw RSSI -> "
-              f"{model.index_.codes.shape[1]}-dim learned space, "
-              f"stored as uint8 codes")
+              f"{model.index_.n_features}-dim learned space")
 
         # --- the space is measurably better organized than raw --------
         signals = train.normalized_signals()

@@ -46,10 +46,10 @@ fi
 make bench-smoke
 
 # Smoke the serving benchmark the same way: every serve-bench block
-# (deadline sweep, quantized scan, learned embedding, chaos overload
-# burst, streaming sessions, model-store restart leg) at smoke
-# scale, schema-validating BENCH_serve.json, so a broken block or
-# payload drift fails `make check` too.
+# (deadline sweep, learned embedding, chaos overload burst, streaming
+# sessions, model-store restart leg) at smoke scale, schema-validating
+# BENCH_serve.json, so a broken block or payload drift fails `make
+# check` too.
 make serve-bench-smoke
 
 # Bench-drift guard: the committed trajectory artifacts must pass

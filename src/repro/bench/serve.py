@@ -46,8 +46,10 @@ import numpy as np
 #: the ``workers`` block with the process tier it measured, and the
 #: ``resilience`` block became an overload burst plus slow batches
 #: through the in-process front end (no worker, pool, breaker or
-#: executor counters).
-SERVE_BENCH_SCHEMA = "repro-serve-bench/8"
+#: executor counters); version 9 removed the ``quant`` block with the
+#: uint8 input-binning stage it measured, and the ``resilience`` block
+#: must record at least one delayed batch.
+SERVE_BENCH_SCHEMA = "repro-serve-bench/9"
 
 #: Schema-tag prefix shared by every serve-bench payload version; the
 #: validator dispatcher routes on it and rejects unknown versions.
@@ -103,31 +105,6 @@ class ServePreset:
     #: (the persistent model store's warm-start contract); 0 disables —
     #: the smoke workload's cold fit is too small for a stable ratio.
     store_min_speedup: float = 10.0
-    #: Radio map synthesized for the ``quant`` block, as
-    #: ``generate_uji_like`` scale knobs — sized independently of the
-    #: async workload because the quantization claim is about scans
-    #: over *large* maps (the fast/paper presets use a ~200k-point
-    #: map; the smoke preset a tiny schema-validation map).
-    quant_spots_per_building: int = 550
-    quant_measurements_per_spot: int = 121
-    quant_aps_per_floor: int = 4
-    quant_queries: int = 256
-    quant_k: int = 10
-    quant_bins: int = 256
-    #: Shortlist factor for the ADC scan + exact-rerank two-stage plan;
-    #: 2 already recovers full recall on the UJI-like map while keeping
-    #: the scan's top-k merge cheap.
-    quant_refine: int = 2
-    #: Floor asserted on the quantized scan's req/s over the monolithic
-    #: float32 brute scan it replaced; 0 disables (smoke maps are too
-    #: small for a stable ratio).
-    quant_min_speedup: float = 1.5
-    #: Floor asserted on top-k recall of the refined uint8 scan against
-    #: the full-precision oracle neighbor sets; 0 disables.
-    quant_min_recall: float = 0.99
-    #: Ceiling asserted on quantized-vs-float32 scan-state bytes per
-    #: fingerprint (uint8 codes are exactly 1/4 of float32); 0 disables.
-    quant_max_bytes_ratio: float = 0.25
     #: Radio map synthesized for the ``embed`` block (schema v7) —
     #: sized independently of the async workload because the
     #: learned-embedding claim is about *noisy, many-WAP* maps (heavy
@@ -149,10 +126,6 @@ class ServePreset:
     embed_hidden: "tuple[int, ...]" = (128, 64)
     embed_epochs: int = 60
     embed_pretrain_epochs: int = 5
-    #: Bins for the embed leg's quantized index — the served config is
-    #: the full composed pipeline (embed → bin → scan), which is what
-    #: the ``transform=`` seam ships; 0 serves the float index.
-    embed_bins: int = 256
     #: A query "recalls" its location when at least one returned
     #: neighbor lies within this radius of the true position — the
     #: neighbor-quality yardstick both legs are scored on (a learned
@@ -222,11 +195,6 @@ PRESETS = {
         min_speedup=0.0,
         max_pending=64,
         store_min_speedup=0.0,
-        quant_spots_per_building=20,
-        quant_measurements_per_spot=10,
-        quant_aps_per_floor=3,
-        quant_queries=64,
-        quant_min_speedup=0.0,
         embed_spots_per_building=12,
         embed_measurements_per_spot=6,
         embed_aps_per_floor=3,
@@ -235,7 +203,6 @@ PRESETS = {
         embed_hidden=(32,),
         embed_epochs=4,
         embed_pretrain_epochs=2,
-        embed_bins=16,
         embed_min_speedup=0.0,
         embed_max_error_ratio=0.0,
         embed_min_recall_ratio=0.0,
@@ -293,9 +260,6 @@ class ServeBenchResult:
     #: Cold-fit vs warm-restore comparison through the persistent model
     #: store (``--store``); None when the leg was not requested.
     store: "dict | None" = None
-    #: Quantized uint8 radio-map scan vs the monolithic float32 brute
-    #: scan (schema v4; always present in emitted payloads).
-    quant: dict = field(default_factory=dict)
     #: Learned-embedding ``embed-knn`` serving vs raw-RSSI kNN on the
     #: same map (schema v7; always present in emitted payloads).
     embed: dict = field(default_factory=dict)
@@ -331,7 +295,6 @@ class ServeBenchResult:
             "naive": dict(self.naive),
             "async": copy.deepcopy(self.legs),
             "headline": dict(self.headline),
-            "quant": copy.deepcopy(self.quant),
             "embed": copy.deepcopy(self.embed),
             "resilience": copy.deepcopy(self.resilience),
             "sessions": copy.deepcopy(self.sessions),
@@ -378,35 +341,6 @@ class ServeBenchResult:
                 f"{s['speedup']:.0f}x restart speedup "
                 f"(floor {s['min_speedup_asserted']:.1f}x), "
                 "prediction parity asserted vs the in-memory model"
-            )
-        if self.quant:
-            q = self.quant
-            head = q["headline"]
-            lines.append(
-                f"\nquant: {q['n_points']} x {q['n_aps']} map, "
-                f"{q['n_bins']} bins, k={q['k']}, refine={q['refine']}"
-            )
-            lines.append(
-                f"  float32 scan: {q['baseline']['seconds']:7.3f} s "
-                f"({q['baseline']['requests_per_second']:7.0f} req/s, "
-                f"{q['baseline']['bytes_per_fingerprint']:.0f} B/fp)"
-            )
-            lines.append(
-                f"  uint8 scan  : {q['quant']['seconds']:7.3f} s "
-                f"({q['quant']['requests_per_second']:7.0f} req/s, "
-                f"{q['quant']['bytes_per_fingerprint']:.0f} B/fp)"
-            )
-            lines.append(
-                f"  headline: {head['speedup_vs_float32']:.2f}x req/s "
-                f"(floor {head['min_speedup_asserted']:.1f}x"
-                + ("" if head["floor_enforced"] else ", not enforced")
-                + f"), recall@k {head['recall_at_k']:.4f} "
-                f"(floor {head['min_recall_asserted']:.2f}), "
-                f"{head['bytes_ratio']:.2f}x scan bytes "
-                f"(ceiling {head['max_bytes_ratio_asserted']:.2f}x); "
-                f"position error {q['quant_error_m']:.2f} m vs oracle "
-                f"{q['oracle_error_m']:.2f} m "
-                f"(delta {q['error_delta_m']:+.3f} m)"
             )
         if self.embed:
             e = self.embed
@@ -694,194 +628,6 @@ def _store_leg(
     }
 
 
-def _median_seconds(fn, repeats: int) -> "tuple[float, object]":
-    """Median elapsed seconds of ``repeats`` calls, plus one result."""
-    times, result = [], None
-    for _ in range(max(int(repeats), 1)):
-        tic = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - tic)
-    return sorted(times)[len(times) // 2], result
-
-
-def _monolithic_float32_scan(
-    points32: np.ndarray, sq_norms: np.ndarray, queries32: np.ndarray, k: int
-) -> np.ndarray:
-    """The pre-chunking serving scan this PR's kernel replaced.
-
-    Materializes full ``(block, N)`` float32 distance matrices exactly
-    like the old monolithic ``_brute_query`` did, so the quant block's
-    baseline measures the code path the uint8 + cache-blocked scan is
-    claimed to beat — not a strawman.
-    """
-    block = max(1, int(2e7) // max(len(points32), 1))
-    out = np.empty((len(queries32), k), dtype=int)
-    for start in range(0, len(queries32), block):
-        q = queries32[start : start + block]
-        d2 = (
-            np.sum(q**2, axis=1)[:, None]
-            - 2.0 * q @ points32.T
-            + sq_norms
-        )
-        part = np.argpartition(d2, kth=k - 1, axis=1)[:, :k]
-        pd = np.take_along_axis(d2, part, axis=1)
-        order = np.argsort(pd, axis=1, kind="stable")
-        out[start : start + len(q)] = np.take_along_axis(part, order, axis=1)
-    return out
-
-
-def _quant_block(config: ServePreset, seed: int, min_speedup: float) -> dict:
-    """Quantized uint8 radio-map scan vs the monolithic float32 scan.
-
-    Synthesizes a UJI-like map at the preset's quant scale, then
-    measures batched top-k queries through two scans of the *same*
-    normalized-signal radio map:
-
-    - **baseline** — the monolithic float32 brute scan serving used
-      before the cache-blocked kernel landed
-      (:func:`_monolithic_float32_scan`);
-    - **quant** — a binned :class:`~repro.manifold.neighbors.KNNIndex`
-      whose scan state is uint8 codes (1/4 the float32 bytes), queried
-      through the ADC shortlist + exact-rerank two-stage plan
-      (``refine``).
-
-    Asserts three floors: req/s speedup over the baseline (enforced
-    only when ``min_speedup > 0`` — the smoke map is too small for a
-    stable ratio), top-k recall against the full-precision oracle
-    neighbor sets, and the quant/float32 scan-state bytes ratio.  Also
-    reports the end metric that actually matters for localization:
-    inverse-distance-weighted position error of the quantized neighbors
-    vs the oracle's, on the same queries.
-    """
-    from repro.data import generate_uji_like
-    from repro.manifold.chunked import chunked_argkmin
-    from repro.manifold.neighbors import KNNIndex
-    from repro.quantization import FeatureBinner
-
-    dataset = generate_uji_like(
-        n_spots_per_building=config.quant_spots_per_building,
-        measurements_per_spot=config.quant_measurements_per_spot,
-        n_aps_per_floor=config.quant_aps_per_floor,
-        seed=seed + 3,
-    )
-    points = dataset.normalized_signals()
-    coords = dataset.coordinates
-    k = min(int(config.quant_k), len(points))
-    rng = np.random.default_rng(seed + 4)
-    source_rows = rng.integers(0, len(points), size=int(config.quant_queries))
-    # plausible online scans: stored fingerprints re-observed with ~1 dB
-    # of measurement jitter (0.01 in normalized signal units)
-    queries = points[source_rows] + rng.normal(
-        0.0, 0.01, size=(len(source_rows), points.shape[1])
-    )
-    points32 = np.ascontiguousarray(points, dtype=np.float32)
-    queries32 = queries.astype(np.float32)
-    sq32 = np.sum(points32**2, axis=1)
-
-    binner = FeatureBinner(
-        n_bins=config.quant_bins, strategy="uniform"
-    ).fit(points)
-    tic = time.perf_counter()
-    index = KNNIndex(
-        points, method="brute", binner=binner, refine=config.quant_refine
-    )
-    build_seconds = time.perf_counter() - tic
-
-    # full-precision oracle: exact float64 top-k (recall + error anchor)
-    oracle_d, oracle_i = chunked_argkmin(queries, points, k)
-
-    baseline_seconds, baseline_i = _median_seconds(
-        lambda: _monolithic_float32_scan(points32, sq32, queries32, k),
-        config.repeats,
-    )
-    quant_seconds, quant_top = _median_seconds(
-        lambda: index.query(queries32, k=k), config.repeats
-    )
-    quant_d, quant_i = quant_top
-
-    recall = float(
-        np.mean(
-            [
-                len(set(quant_i[i]) & set(oracle_i[i])) / k
-                for i in range(len(oracle_i))
-            ]
-        )
-    )
-
-    def _idw_error(distances: np.ndarray, indices: np.ndarray) -> float:
-        weights = 1.0 / (distances + 1e-12)
-        weights /= weights.sum(axis=1, keepdims=True)
-        estimate = np.sum(coords[indices] * weights[:, :, None], axis=1)
-        truth = coords[source_rows]
-        return float(np.mean(np.linalg.norm(estimate - truth, axis=1)))
-
-    oracle_error = _idw_error(oracle_d, oracle_i)
-    quant_error = _idw_error(quant_d, quant_i)
-
-    n_aps = points.shape[1]
-    baseline_bytes = float(points32.itemsize * n_aps)
-    quant_bytes = float(index.codes.itemsize * n_aps)
-    bytes_ratio = quant_bytes / baseline_bytes
-    speedup = (len(queries) / quant_seconds) / (
-        len(queries) / baseline_seconds
-    )
-
-    floor_enforced = min_speedup > 0
-    if floor_enforced and speedup < min_speedup:
-        raise ServeSpeedupError(
-            f"quantized scan is only {speedup:.2f}x the monolithic "
-            f"float32 scan on the {len(points)}-point map, below the "
-            f"asserted minimum {min_speedup:.2f}x"
-        )
-    if config.quant_min_recall > 0 and recall < config.quant_min_recall:
-        raise ServeParityError(
-            f"quantized scan recall@{k} is {recall:.4f} against the "
-            f"full-precision oracle, below the asserted minimum "
-            f"{config.quant_min_recall:.2f}"
-        )
-    if (
-        config.quant_max_bytes_ratio > 0
-        and bytes_ratio > config.quant_max_bytes_ratio
-    ):
-        raise ServeSpeedupError(
-            f"quantized scan state is {bytes_ratio:.2f}x the float32 "
-            f"bytes per fingerprint, above the asserted ceiling "
-            f"{config.quant_max_bytes_ratio:.2f}x"
-        )
-    return {
-        "n_points": int(len(points)),
-        "n_aps": int(n_aps),
-        "n_queries": int(len(queries)),
-        "k": int(k),
-        "n_bins": int(config.quant_bins),
-        "refine": int(index.refine),
-        "build_seconds": float(build_seconds),
-        "baseline": {
-            "seconds": float(baseline_seconds),
-            "requests_per_second": float(len(queries) / baseline_seconds),
-            "bytes_per_fingerprint": baseline_bytes,
-        },
-        "quant": {
-            "seconds": float(quant_seconds),
-            "requests_per_second": float(len(queries) / quant_seconds),
-            "bytes_per_fingerprint": quant_bytes,
-        },
-        "recall_at_k": recall,
-        "oracle_error_m": oracle_error,
-        "quant_error_m": quant_error,
-        "error_delta_m": float(quant_error - oracle_error),
-        "headline": {
-            "speedup_vs_float32": float(speedup),
-            "min_speedup_asserted": float(min_speedup),
-            "recall_at_k": recall,
-            "min_recall_asserted": float(config.quant_min_recall),
-            "bytes_ratio": float(bytes_ratio),
-            "max_bytes_ratio_asserted": float(config.quant_max_bytes_ratio),
-            "floor_enforced": floor_enforced,
-        },
-    }
-
-
 def _embed_block(config: ServePreset, seed: int, min_speedup: float) -> dict:
     """Learned-embedding ``embed-knn`` serving vs raw-RSSI kNN.
 
@@ -889,11 +635,12 @@ def _embed_block(config: ServePreset, seed: int, min_speedup: float) -> dict:
     (heavy shadowing + per-device RSSI offsets — the regime §III-C's
     learned feature space is for), fits the registry ``knn`` and
     ``embed-knn`` backends on the same training split, and serves the
-    same held-out queries through both ``predict_batch`` hot paths.
-    The embed leg serves the full composed feature-space pipeline the
-    ``transform=`` seam ships — learned encoder, then the quantized
-    index over the ``embed_components``-dim points — so the claim is
-    double-ended and both ends carry floors: req/s at least
+    same held-out queries through both ``predict_batch`` hot paths,
+    alternating the two legs' timing repeats (ABAB…) so both medians
+    see the same host drift.  The embed leg serves the composed
+    feature-space pipeline — learned encoder, then the kNN index over
+    the ``embed_components``-dim points — so the claim is double-ended
+    and both ends carry floors: req/s at least
     ``min_speedup``x raw kNN (enforced only when ``min_speedup > 0`` —
     the smoke map is too small for a stable ratio) at matched neighbor
     quality (location-recall@k within ``embed_min_recall_ratio`` of
@@ -929,14 +676,29 @@ def _embed_block(config: ServePreset, seed: int, min_speedup: float) -> dict:
         embed_params["hidden"] = tuple(config.embed_hidden)
         embed_params["pretrain_epochs"] = int(config.embed_pretrain_epochs)
 
-    def _leg(name: str, **params) -> dict:
-        estimator = create(name, **params)
+    fitted = {}
+    for side, name, params in (
+        ("raw", "knn", {}),
+        ("embed", "embed-knn", {"embedder": config.embed_embedder,
+                                "embed_params": embed_params}),
+    ):
+        estimator = create(name, k=k, weighted=True, **params)
         tic = time.perf_counter()
         estimator.fit(train)
-        fit_seconds = time.perf_counter() - tic
-        seconds, prediction = _median_seconds(
-            lambda: estimator.predict_batch(queries), config.repeats
-        )
+        fitted[side] = (estimator, time.perf_counter() - tic)
+
+    times: "dict[str, list[float]]" = {side: [] for side in fitted}
+    predictions = {}
+    for _ in range(max(int(config.repeats), 1)):
+        for side, (estimator, _) in fitted.items():
+            tic = time.perf_counter()
+            predictions[side] = estimator.predict_batch(queries)
+            times[side].append(time.perf_counter() - tic)
+
+    def _leg(side: str) -> dict:
+        estimator, fit_seconds = fitted[side]
+        prediction = predictions[side]
+        seconds = sorted(times[side])[len(times[side]) // 2]
         error = float(
             np.mean(
                 np.linalg.norm(prediction.coordinates - truth, axis=1)
@@ -962,17 +724,8 @@ def _embed_block(config: ServePreset, seed: int, min_speedup: float) -> dict:
             "recall_at_k": recall,
         }
 
-    raw = _leg("knn", k=k, weighted=True)
-    embed = _leg(
-        "embed-knn",
-        k=k,
-        weighted=True,
-        embedder=config.embed_embedder,
-        embed_params=embed_params,
-        quantize_bins=(
-            int(config.embed_bins) if config.embed_bins > 0 else None
-        ),
-    )
+    raw = _leg("raw")
+    embed = _leg("embed")
 
     speedup = embed["requests_per_second"] / raw["requests_per_second"]
     error_ratio = (
@@ -1017,7 +770,6 @@ def _embed_block(config: ServePreset, seed: int, min_speedup: float) -> dict:
         "k": int(k),
         "embedder": str(config.embed_embedder),
         "n_components": int(config.embed_components),
-        "n_bins": int(config.embed_bins),
         "recall_radius_m": radius,
         "raw": raw,
         "embed": embed,
@@ -1054,11 +806,14 @@ def _resilience_block(
     :class:`~repro.serving.faults.DelayedEstimator` that slows a
     fraction of them without changing any prediction.
 
-    The load is one single-threaded submission burst of the chaos
+    The load is a single-threaded submission burst of the chaos
     queries against a small ``chaos_max_pending`` bound, with a hot
     tenant offering ~10x each light tenant's load — weighted-fair
-    shedding makes the hot tenant absorb the evictions — followed by a
-    draining ``close``.
+    shedding makes the hot tenant absorb the evictions.  The burst
+    comes in waves of twice the bound: each wave overloads the queue,
+    then is served before the next one starts, so batches (slow ones
+    included) land through the whole storm.  A draining ``close``
+    ends it.
 
     Every submitted request must end answered-with-parity or cleanly
     shed: raises :class:`ServeParityError` on any hung ticket or
@@ -1096,11 +851,22 @@ def _resilience_block(
 
     outcomes = {"answered": 0, "shed": 0, "failed": 0, "hung": 0}
     tickets: "list[tuple[int, object]]" = []
-    for i in range(n_queries):
+    wave = 2 * int(config.chaos_max_pending)
+    for start in range(0, n_queries, wave):
+        admitted = []
+        for i in range(start, min(start + wave, n_queries)):
+            try:
+                admitted.append(
+                    (i, frontend.submit(chaos_q[i], tenant=tenant_of[i]))
+                )
+            except ShedError:
+                outcomes["shed"] += 1
         try:
-            tickets.append((i, frontend.submit(chaos_q[i], tenant=tenant_of[i])))
-        except ShedError:
-            outcomes["shed"] += 1
+            for _, ticket in admitted:
+                ticket.exception(timeout=10.0)
+        except TimeoutError:
+            pass  # a ticket that never resolves is counted as hung below
+        tickets.extend(admitted)
     frontend.close(drain=True)
 
     mismatches = 0
@@ -1144,6 +910,11 @@ def _resilience_block(
         raise ServeParityError(
             f"{mismatches} answered chaos requests diverge from the "
             "synchronous oracle"
+        )
+    if delayed.n_delays < 1:
+        raise AssertionError(
+            "no slow batch landed: the chaos run never exercised the "
+            "delayed-batch fault"
         )
     if min_availability > 0 and availability < min_availability:
         raise ServeSpeedupError(
@@ -1401,7 +1172,6 @@ def run_serve_bench(
     min_speedup: "float | None" = None,
     store_dir: "str | os.PathLike | None" = None,
     store_min_speedup: "float | None" = None,
-    quant_min_speedup: "float | None" = None,
     embed_min_speedup: "float | None" = None,
     chaos_min_availability: "float | None" = None,
     track_min_tracks_per_s: "float | None" = None,
@@ -1417,21 +1187,17 @@ def run_serve_bench(
     restore of the ``noble`` backend through a
     :class:`repro.core.persistence.ModelStore` at that directory,
     asserting prediction parity and a ``store_min_speedup`` floor
-    (preset default 10x).  The ``quant`` block (schema v4) always runs:
-    it benchmarks the uint8 radio-map scan against the monolithic
-    float32 brute scan on the preset's quant-scale map, asserting
-    ``quant_min_speedup`` (preset default; 0 disables) plus the
-    preset's recall and bytes-per-fingerprint floors.  The ``embed``
-    block (schema v7) always runs too: it serves the same jittered
-    queries through the raw-RSSI ``knn`` and learned-embedding
-    ``embed-knn`` backends fitted on one map, asserting an
-    ``embed_min_speedup`` req/s floor (preset default; 0 disables)
-    at matched location-recall@k, plus the preset's position-error
-    ceiling.  The ``resilience`` block (schema v5) always runs as well:
-    a seeded overload burst with slow batches against the
-    fair-shedding front end, asserting zero hung requests, parity on
-    every answered request, and a ``chaos_min_availability`` floor
-    (preset default; 0 disables).  The ``sessions`` block (schema v6) always runs last:
+    (preset default 10x).  The ``embed`` block (schema v7) always
+    runs: it serves the same jittered queries through the raw-RSSI
+    ``knn`` and learned-embedding ``embed-knn`` backends fitted on one
+    map, asserting an ``embed_min_speedup`` req/s floor (preset
+    default; 0 disables) at matched location-recall@k, plus the
+    preset's position-error ceiling.  The ``resilience`` block (schema
+    v5) always runs as well: a seeded overload burst with slow batches
+    against the fair-shedding front end, asserting at least one slow
+    batch, zero hung requests, parity on every answered request, and a
+    ``chaos_min_availability`` floor (preset default; 0 disables).
+    The ``sessions`` block (schema v6) always runs last:
     streaming trajectory serving through stateful per-user
     TrackingSessions, asserting bitwise parity of every served tick
     against the offline single-session oracle (RMSE delta exactly
@@ -1524,9 +1290,6 @@ def run_serve_bench(
             f"{headline_deadline:.0f} ms deadline is below the asserted "
             f"minimum {min_speedup:.2f}x"
         )
-    if quant_min_speedup is None:
-        quant_min_speedup = config.quant_min_speedup
-    result.quant = _quant_block(config, seed, float(quant_min_speedup))
     if embed_min_speedup is None:
         embed_min_speedup = config.embed_min_speedup
     result.embed = _embed_block(config, seed, float(embed_min_speedup))
@@ -1554,15 +1317,13 @@ def validate_serve_bench_payload(payload: dict) -> None:
     schema tag, workload and naive-baseline blocks, at least one async
     leg with complete fields and parity, a headline block whose
     ``async_speedup`` clears a positive ``min_speedup_asserted``, the
-    mandatory ``quant`` block (speedup floor whenever ``floor_enforced``, recall
-    floor and bytes-ratio ceiling whenever positive), the mandatory
-    ``embed`` block (speedup floor whenever ``floor_enforced``,
+    mandatory ``embed`` block (speedup floor whenever ``floor_enforced``,
     error-ratio ceiling and recall-ratio floor whenever positive), the
-    mandatory ``resilience`` block (no hung or dirty-failed requests,
-    answered-request parity, availability floor whenever
-    ``floor_enforced``), the mandatory ``sessions`` block (RMSE delta vs
-    the offline oracle exactly 0.0 m, zero lost tracks, ticks/sec floor
-    whenever ``floor_enforced``), and — when present — the ``store``
+    mandatory ``resilience`` block (at least one delayed batch, no hung
+    or dirty-failed requests, answered-request parity, availability
+    floor whenever ``floor_enforced``), the mandatory ``sessions`` block
+    (RMSE delta vs the offline oracle exactly 0.0 m, zero lost tracks,
+    ticks/sec floor whenever ``floor_enforced``), and — when present — the ``store``
     restart leg (complete fields, parity, a positive asserted floor
     satisfied) — so ``make serve-bench-smoke`` and ``make
     check-bench-artifacts`` fail loudly when the emitted artifact drifts
@@ -1657,7 +1418,7 @@ def validate_serve_bench_payload(payload: dict) -> None:
         )
     for key in (
         "preset", "seed", "workload", "naive", "async", "headline",
-        "quant", "embed", "resilience", "sessions",
+        "embed", "resilience", "sessions",
     ):
         if key not in payload:
             problems.append(f"missing top-level key {key!r}")
@@ -1676,29 +1437,6 @@ def validate_serve_bench_payload(payload: dict) -> None:
         require(head, "headline",
                 "deadline_ms", "async_speedup", "min_speedup_asserted")
         bound(head, "headline", "async_speedup", "min_speedup_asserted")
-
-    quant = child(payload, "quant")
-    if quant is not None:
-        typed(quant, "quant", int,
-              "n_points", "n_aps", "n_queries", "k", "n_bins", "refine")
-        for side in ("baseline", "quant"):
-            leg = child(quant, f"quant.{side}")
-            if leg is not None:
-                typed(leg, f"quant.{side}", float,
-                      "seconds", "requests_per_second", "bytes_per_fingerprint")
-        typed(quant, "quant", float,
-              "recall_at_k", "oracle_error_m", "quant_error_m", "error_delta_m")
-        qhead = headline(quant, "quant",
-                         "speedup_vs_float32", "min_speedup_asserted",
-                         "recall_at_k", "min_recall_asserted",
-                         "bytes_ratio", "max_bytes_ratio_asserted")
-        if qhead is not None:
-            path = "quant.headline"
-            bound(qhead, path, "speedup_vs_float32", "min_speedup_asserted",
-                  enforced=True)
-            bound(qhead, path, "recall_at_k", "min_recall_asserted")
-            bound(qhead, path, "bytes_ratio", "max_bytes_ratio_asserted",
-                  ceiling=True)
 
     embed = child(payload, "embed")
     if embed is not None:
@@ -1729,6 +1467,12 @@ def validate_serve_bench_payload(payload: dict) -> None:
         faults = child(resilience, "resilience.faults")
         if faults is not None:
             typed(faults, "resilience.faults", int, "delayed_batches")
+            delayed = faults.get("delayed_batches")
+            if _is(delayed, int) and delayed < 1:
+                problems.append(
+                    f"resilience.faults.delayed_batches is {delayed}, must "
+                    "be >= 1 (no slow batch landed)"
+                )
         outcomes = child(resilience, "resilience.outcomes")
         if outcomes is not None:
             typed(outcomes, "resilience.outcomes", int,

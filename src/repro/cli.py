@@ -21,9 +21,8 @@ seconds-scale schema check for the benches that emit JSON artifacts
 :class:`repro.serving.ServingFrontend` — concurrent producer threads,
 micro-batches drained on a latency deadline — sweeping deadline vs
 throughput and asserting prediction parity with the synchronous path,
-then runs the quantized-scan, learned-embedding, chaos and
-streaming-session blocks, and writes the ``BENCH_serve.json`` trajectory
-artifact.  With ``--store DIR`` it additionally measures the cold-start
+then runs the learned-embedding, chaos and streaming-session blocks,
+and writes the ``BENCH_serve.json`` trajectory artifact.  With ``--store DIR`` it additionally measures the cold-start
 vs warm-start restart leg through the persistent model store at ``DIR``.
 
 ``snapshot`` fits a registered backend on the serving workload and
@@ -282,8 +281,8 @@ def run_serve_bench(args) -> None:
     threads, asserts per-leg prediction parity against the synchronous
     path and a minimum headline speedup over naive per-query serving,
     then runs every serving block of :func:`repro.bench.run_serve_bench`
-    — the quantized scan, the learned-embedding kNN, the chaos storm
-    and the streaming sessions — prints the report, and writes the
+    — the learned-embedding kNN, the chaos storm and the streaming
+    sessions — prints the report, and writes the
     perf-trajectory artifact (schema-validated before writing).
     """
     import json

@@ -80,9 +80,6 @@ def _noble_arrays(model: NObLeWifi) -> "dict[str, np.ndarray]":
         arrays["coarse.origin"] = quantizer.coarse.origin_
     if model.fine_class_building_ is not None:
         arrays["fine_class_building"] = model.fine_class_building_
-    if model.binner_ is not None:
-        for name, value in model.binner_.state_arrays().items():
-            arrays[name] = value
 
     transform_name = None
     if model.signal_transform is not None:
@@ -118,7 +115,6 @@ def _noble_arrays(model: NObLeWifi) -> "dict[str, np.ndarray]":
         },
         "multires": isinstance(quantizer, MultiResolutionQuantizer),
         "representative": fine.representative,
-        "quantize_bins": model.quantize_bins,
     }
     arrays["meta_json"] = _json_blob(meta)
     return arrays
@@ -137,12 +133,7 @@ def _noble_from_arrays(arrays: "dict[str, np.ndarray]") -> NObLeWifi:
         adjacency_weight=meta["adjacency_weight"],
         signal_transform=meta.get("signal_transform"),
         dtype=meta.get("dtype"),
-        quantize_bins=meta.get("quantize_bins"),
     )
-    if model.quantize_bins is not None:
-        from repro.quantization import FeatureBinner
-
-        model.binner_ = FeatureBinner.from_state_arrays(arrays)
     model.n_buildings_ = meta["n_buildings"]
     model.n_floors_ = meta["n_floors"]
     model.head_slices_ = {
@@ -402,18 +393,7 @@ def _strip_prefix(arrays: dict, prefix: str) -> dict:
 
 # ----------------------------------------------------------- index (de)hydration
 def _index_state(index, prefix: str) -> "tuple[dict, dict]":
-    """(arrays, meta) for a :class:`~repro.manifold.neighbors.KNNIndex`.
-
-    A binned (quantized) index persists its uint8 codes plus the fitted
-    binner state instead of float points — the artifact gets the same 8x
-    size cut the resident index enjoys, and restore rebuilds straight
-    from the codes with no re-quantization.
-    """
-    if index.binner is not None:
-        arrays = {f"{prefix}codes": index.codes}
-        for name, value in index.binner.state_arrays().items():
-            arrays[f"{prefix}{name}"] = value
-        return arrays, {"method": "brute", "binned": True}
+    """(arrays, meta) for a :class:`~repro.manifold.neighbors.KNNIndex`."""
     return {f"{prefix}points": index.points}, {"method": index.method}
 
 
@@ -425,11 +405,6 @@ def _restore_index(arrays: dict, meta: dict, prefix: str):
     """
     from repro.manifold.neighbors import KNNIndex
 
-    if meta.get("binned"):
-        from repro.quantization import FeatureBinner
-
-        binner = FeatureBinner.from_state_arrays(_strip_prefix(arrays, prefix))
-        return KNNIndex.from_codes(arrays[f"{prefix}codes"], binner)
     return KNNIndex(arrays[f"{prefix}points"], method=meta["method"])
 
 
@@ -581,9 +556,6 @@ class _CNNLocSerializer:
         arrays = state_arrays(model.model_, prefix="net.")
         arrays["coord_mean"] = model.coord_mean_
         arrays["coord_std"] = model.coord_std_
-        if model.binner_ is not None:
-            for name, value in model.binner_.state_arrays().items():
-                arrays[name] = value
         slices = model.head_slices_
         meta = {
             "encoder_sizes": list(model.encoder_sizes),
@@ -591,7 +563,6 @@ class _CNNLocSerializer:
             "kernel_size": model.kernel_size,
             "pool": model.pool,
             "dtype": None if model.dtype is None else str(model._dtype),
-            "quantize_bins": model.quantize_bins,
             "n_inputs": model.model_[0].in_features,
             "n_buildings": slices["building"].stop,
             "n_floors": slices["floor"].stop - slices["floor"].start,
@@ -609,13 +580,7 @@ class _CNNLocSerializer:
             kernel_size=meta["kernel_size"],
             pool=meta["pool"],
             dtype=meta["dtype"],
-            # absent in pre-quantization artifacts: those serve raw
-            quantize_bins=meta.get("quantize_bins"),
         )
-        if model.quantize_bins is not None:
-            from repro.quantization import FeatureBinner
-
-            model.binner_ = FeatureBinner.from_state_arrays(arrays)
         network, head_slices = model._build_network(
             int(meta["n_inputs"]),
             int(meta["n_buildings"]),
@@ -677,7 +642,7 @@ class _EnsembleSerializer:
                 arrays, meta["ood_index"], prefix="ood."
             )
         else:
-            # pre-quantization artifacts stored the gate as raw points
+            # the oldest artifacts stored the gate as raw points
             estimator._ood_index = KNNIndex(
                 arrays["ood.points"], method=meta["ood_method"]
             )

@@ -17,8 +17,8 @@ nonlinear, behind a single ``fit``/``transform`` surface:
 Either embedder slots into the serving tier as the first stage of the
 feature-space pipeline (:class:`repro.serving.pipeline.FeaturePipeline`)
 behind the ``"embed-knn"`` backend: the radio map is embedded once at
-fit, the existing (optionally quantized) kNN index runs on the embedded
-points, and query batches are embedded on the hot path.
+fit, the existing kNN index runs on the embedded points, and query
+batches are embedded on the hot path.
 
 Quality is measured by :mod:`repro.analysis.embedding`
 (``class_scatter_ratio`` down, ``embedding_distance_correlation`` up —

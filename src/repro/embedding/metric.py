@@ -7,8 +7,8 @@ faithful to physical distance.  Neighbourhood Components Analysis
 maximize the expected number of points whose *stochastic* nearest
 neighbor (softmax over negative squared embedded distances) shares
 their class.  The learned transform is linear — ``z = (x - mean) @
-A.T`` — so the serving hot path is one matmul and the kNN index /
-quantization machinery applies unchanged in the lower dimension.
+A.T`` — so the serving hot path is one matmul and the kNN index
+applies unchanged in the lower dimension.
 
 The objective and its exact gradient live in module-level functions so
 the test-suite can finite-difference-check the math directly.

@@ -46,10 +46,6 @@ class CNNLocWifi:
         then fine-tuned end to end).
     conv_channels, kernel_size, pool:
         The 1-D CNN over the encoded fingerprint.
-    quantize_bins:
-        Train and serve on the uint8-quantized radio map (the
-        :class:`repro.quantization.FeatureBinner` reconstruction) —
-        same semantics as the NObLe/kNN backends.
     """
 
     def __init__(
@@ -65,7 +61,6 @@ class CNNLocWifi:
         seed=0,
         dtype=None,
         fused: bool = True,
-        quantize_bins: "int | None" = None,
     ):
         if not encoder_sizes:
             raise ValueError("encoder_sizes must not be empty")
@@ -83,10 +78,6 @@ class CNNLocWifi:
         self.dtype = dtype
         self._dtype = resolve_dtype(dtype)
         self.fused = bool(fused)
-        self.quantize_bins = (
-            None if quantize_bins is None else int(quantize_bins)
-        )
-        self.binner_ = None  # FeatureBinner after fit when quantizing
         self.model_: "Sequential | None" = None
         self.head_slices_: "dict | None" = None
         self.coord_mean_: "np.ndarray | None" = None
@@ -100,17 +91,7 @@ class CNNLocWifi:
 
     def fit(self, dataset: FingerprintDataset) -> "CNNLocWifi":
         rng = ensure_rng(self.seed)
-        signals = dataset.normalized_signals()
-        if self.quantize_bins is not None:
-            from repro.quantization import FeatureBinner
-
-            # train on the quantizer's reconstruction so training and
-            # serving see the identical feature space
-            self.binner_ = FeatureBinner(n_bins=self.quantize_bins).fit(
-                signals
-            )
-            signals = self.binner_.quantize(signals)
-        signals = signals.astype(self._dtype, copy=False)
+        signals = dataset.normalized_signals().astype(self._dtype, copy=False)
         n_buildings = dataset.n_buildings
         n_floors = dataset.n_floors
 
@@ -257,9 +238,5 @@ class CNNLocWifi:
 
     def _signals(self, dataset) -> np.ndarray:
         if isinstance(dataset, FingerprintDataset):
-            signals = dataset.normalized_signals()
-        else:
-            signals = np.asarray(dataset, dtype=float)
-        if self.binner_ is not None:
-            signals = self.binner_.quantize(signals)
-        return signals
+            return dataset.normalized_signals()
+        return np.asarray(dataset, dtype=float)

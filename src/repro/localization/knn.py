@@ -23,13 +23,12 @@ class KNNFingerprinting:
 
     The radio map lives in one brute-force
     :class:`~repro.manifold.neighbors.KNNIndex`, which keeps the lowest
-    index among fingerprints tied at the k-th distance;
-    ``quantize_bins`` stores it as uint8 codes.
+    index among fingerprints tied at the k-th distance.
 
     ``embedder`` prepends a learned feature map from
     :mod:`repro.embedding` to the whole pipeline: the radio map is
     embedded once at fit (an unfitted embedder is trained on the
-    dataset first), the index/binner stack is built on the embedded
+    dataset first), the index is built on the embedded
     points, and every query batch is embedded before the neighbor
     scan.  This is the model behind the ``"embed-knn"`` serving
     backend.
@@ -39,16 +38,12 @@ class KNNFingerprinting:
         self,
         k: int = 5,
         weighted: bool = True,
-        quantize_bins: "int | None" = None,
         embedder=None,
     ):
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         self.k = int(k)
         self.weighted = weighted
-        self.quantize_bins = (
-            None if quantize_bins is None else int(quantize_bins)
-        )
         self.embedder = embedder
         self.index_ = None  # KNNIndex after fit
         self.coordinates_: "np.ndarray | None" = None
@@ -74,22 +69,11 @@ class KNNFingerprinting:
 
             if not is_fitted(self.embedder):
                 fit_embedder(self.embedder, dataset)
-        signals = self._signals(dataset)
-        self.index_ = KNNIndex(
-            signals, method="brute", binner=self._fit_binner(signals)
-        )
+        self.index_ = KNNIndex(self._signals(dataset), method="brute")
         self.coordinates_ = dataset.coordinates
         self.building_ = dataset.building
         self.floor_ = dataset.floor
         return self
-
-    def _fit_binner(self, signals: np.ndarray):
-        """Fit the uint8 radio-map quantizer when ``quantize_bins`` is set."""
-        if self.quantize_bins is None:
-            return None
-        from repro.quantization import FeatureBinner
-
-        return FeatureBinner(n_bins=self.quantize_bins).fit(signals)
 
     def predict_coordinates(self, dataset) -> np.ndarray:
         check_fitted(self, "index_")

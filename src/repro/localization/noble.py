@@ -105,7 +105,6 @@ class NObLeWifi:
         seed=0,
         dtype=None,
         fused: bool = True,
-        quantize_bins: "int | None" = None,
     ):
         if "fine" not in heads:
             raise ValueError("the 'fine' head is mandatory (it provides positions)")
@@ -135,11 +134,7 @@ class NObLeWifi:
         self.dtype = dtype
         self._dtype = resolve_dtype(dtype)
         self.fused = bool(fused)
-        self.quantize_bins = (
-            None if quantize_bins is None else int(quantize_bins)
-        )
 
-        self.binner_ = None  # FeatureBinner after fit when quantize_bins set
         self.model_: "Sequential | None" = None
         self.quantizer_: "MultiResolutionQuantizer | GridQuantizer | None" = None
         self.head_slices_: "dict[str, slice] | None" = None
@@ -156,17 +151,7 @@ class NObLeWifi:
     # --------------------------------------------------------------- training
     def fit(self, dataset: FingerprintDataset) -> "NObLeWifi":
         rng = ensure_rng(self.seed)
-        self.binner_ = None  # refits must not bin through a stale binner
         signals = self._signals_of(dataset)
-        if self.quantize_bins is not None:
-            from repro.quantization import FeatureBinner
-
-            # train on the bin-midpoint view so fit and serve see the exact
-            # same quantized signal space (hist-gradient-boosting style)
-            self.binner_ = FeatureBinner(n_bins=self.quantize_bins).fit(
-                signals
-            )
-            signals = self.binner_.quantize(signals).astype(float)
         self.n_buildings_ = dataset.n_buildings
         self.n_floors_ = dataset.n_floors
 
@@ -376,8 +361,4 @@ class NObLeWifi:
             signals = np.asarray(dataset, dtype=float)
         if self.signal_transform is not None:
             signals = self.signal_transform(signals)
-        if self.binner_ is not None:
-            # snap inference inputs onto the quantized signal space the
-            # model was trained in (midpoints are exact in float64)
-            signals = self.binner_.quantize(signals).astype(float)
         return signals

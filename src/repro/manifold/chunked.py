@@ -27,13 +27,6 @@ so no ``(M, N)`` buffer ever exists.
 
 :func:`chunked_radius_neighbors` uses the same tiles; its per-tile
 reduction is an in-radius mask.
-
-``points`` may be a plain ``(N, D)`` array or any *chunk source*: an
-object exposing ``shape``, ``dtype``, and ``chunk(start, stop)``
-returning a float array of rows ``[start, stop)``.  That duck-typed seam
-is how quantized uint8 radio maps (:class:`repro.quantization.BinnedPoints`)
-stream dequantized tiles through the same kernel without ever holding a
-float copy of the whole map.
 """
 
 from __future__ import annotations
@@ -100,42 +93,6 @@ def resolve_chunk_rows(
     return int(np.clip(c, 32, 8192))
 
 
-def _as_source(points):
-    """Normalize ``points`` to ``(chunk_fn, n, dim, dtype)``."""
-    if hasattr(points, "chunk"):
-        n, dim = points.shape
-        return points.chunk, int(n), int(dim), np.dtype(points.dtype)
-    points = check_2d(points, "points", dtype=None)
-    return (
-        lambda start, stop: points[start:stop],
-        points.shape[0],
-        points.shape[1],
-        points.dtype,
-    )
-
-
-def _chunk_itemsize(points, compute_dtype: np.dtype) -> int:
-    """Bytes per element of the *resident* stream the scan reads.
-
-    A quantized chunk source streams its stored codes (uint8) from
-    memory — the dequantized float tile is transient — so sources may
-    advertise ``storage_itemsize`` and get proportionally larger tiles
-    out of the same L2 budget, amortizing the per-tile top-k merge.
-    """
-    return max(int(getattr(points, "storage_itemsize", compute_dtype.itemsize)), 1)
-
-
-def _source_sq_norms(chunk_fn, n: int, chunk_rows: int) -> np.ndarray:
-    """One streaming pass computing ``|p|^2`` per point."""
-    out = np.empty(n)
-    for start in range(0, n, chunk_rows):
-        block = chunk_fn(start, min(start + chunk_rows, n))
-        out[start : start + len(block)] = np.einsum(
-            "ij,ij->i", block, block
-        )
-    return out
-
-
 def _tile_rows(
     q_rows: int, n_features: int, itemsize: int, l2_bytes: "int | None" = None
 ) -> int:
@@ -158,9 +115,8 @@ def tie_ordered_top_k(
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Per row, the ``k`` smallest ``(distance, index)`` pairs, in that order.
 
-    The one neighbor merge of the package — the kernel's tile merge and
-    the quantized index's exact rerank.  Among equal distances the
-    lowest index wins, both for membership at the k-th distance and for
+    The kernel's tile merge.  Among equal distances the lowest index
+    wins, both for membership at the k-th distance and for
     order within the row.  ``dist`` and ``idx``
     are ``(M, C)`` candidate matrices in any column order (``idx`` may
     be a broadcast view); returns two ``(M, min(k, C))`` arrays.
@@ -181,14 +137,14 @@ def tie_ordered_top_k(
     return dist[rows, order], idx[rows, order]
 
 
-def _resolve_tiles(points, n_dim: int, compute_dtype, chunk_rows, query_block):
+def _resolve_tiles(n_dim: int, compute_dtype, chunk_rows, query_block):
     """``(itemsize, chunk_rows, query_block)`` after the test overrides.
 
     ``chunk_rows`` stays ``None`` unless overridden: the tile height is
     then derived per query block by :func:`_tile_rows`.  The default
     query block is the square :func:`resolve_chunk_rows` edge.
     """
-    itemsize = _chunk_itemsize(points, compute_dtype)
+    itemsize = compute_dtype.itemsize
     if query_block is None:
         query_block = resolve_chunk_rows(n_dim, itemsize)
     if chunk_rows is not None:
@@ -197,28 +153,29 @@ def _resolve_tiles(points, n_dim: int, compute_dtype, chunk_rows, query_block):
 
 
 def _scan_setup(queries, points):
-    """Validate a scan: ``(queries, chunk_fn, n_points, n_dim, compute_dtype)``.
+    """Validate a scan: ``(queries, points, n_points, n_dim, compute_dtype)``.
 
-    Float32 queries against a float32 source stay in float32 end to end
+    Float32 queries against float32 points stay in float32 end to end
     (sgemm is ~2x dgemm on this class of hardware); anything else
     computes in float64.
     """
     queries = check_2d(queries, "queries", dtype=None)
-    chunk_fn, n_points, n_dim, src_dtype = _as_source(points)
+    points = check_2d(points, "points", dtype=None)
+    n_points, n_dim = points.shape
     if queries.shape[1] != n_dim:
         raise ValueError(
             f"query dim {queries.shape[1]} != points dim {n_dim}"
         )
     compute_dtype = np.promote_types(
-        np.promote_types(queries.dtype, src_dtype), np.float32
+        np.promote_types(queries.dtype, points.dtype), np.float32
     )
-    return queries, chunk_fn, n_points, n_dim, compute_dtype
+    return queries, points, n_points, n_dim, compute_dtype
 
 
-def _scan_norms(sq_norms, chunk_fn, n_points, compute_dtype, chunk_rows):
-    """``|p|^2`` in the compute dtype: the cached vector, else one streaming pass."""
+def _scan_norms(sq_norms, points, compute_dtype):
+    """``|p|^2`` in the compute dtype: the cached vector, else one pass."""
     if sq_norms is None:
-        sq_norms = _source_sq_norms(chunk_fn, n_points, chunk_rows or 4096)
+        sq_norms = np.einsum("ij,ij->i", points, points)
     return np.asarray(sq_norms).ravel().astype(compute_dtype, copy=False)
 
 
@@ -245,7 +202,7 @@ def chunked_argkmin(
     ``query_block`` override the L2 tile heuristic (tests shrink them to
     force multi-tile runs).
     """
-    queries, chunk_fn, n_points, n_dim, compute_dtype = _scan_setup(
+    queries, points, n_points, n_dim, compute_dtype = _scan_setup(
         queries, points
     )
     if k <= 0:
@@ -253,14 +210,14 @@ def chunked_argkmin(
     k = min(int(k), n_points)
     m = len(queries)
     itemsize, chunk_rows, query_block = _resolve_tiles(
-        points, n_dim, compute_dtype, chunk_rows, query_block
+        n_dim, compute_dtype, chunk_rows, query_block
     )
     if n_points == 0 or m == 0:
         return (
             np.zeros((m, k), dtype=compute_dtype),
             np.zeros((m, k), dtype=int),
         )
-    sq_norms = _scan_norms(sq_norms, chunk_fn, n_points, compute_dtype, chunk_rows)
+    sq_norms = _scan_norms(sq_norms, points, compute_dtype)
 
     queries = queries.astype(compute_dtype, copy=False)
     all_dist = np.empty((m, k), dtype=compute_dtype)
@@ -276,7 +233,7 @@ def chunked_argkmin(
         bound = best_d[:, k - 1]
         for ps in range(0, n_points, tile):
             pe = min(ps + tile, n_points)
-            chunk = chunk_fn(ps, pe).astype(compute_dtype, copy=False)
+            chunk = points[ps:pe].astype(compute_dtype, copy=False)
             # |q|^2 is constant per row, so it never affects the ranking;
             # it is added back once, after the final merge
             d2 = q2 @ chunk.T
@@ -322,7 +279,7 @@ def chunked_radius_neighbors(
     as :func:`chunked_argkmin`; the per-tile reduction is an in-radius
     mask instead of a top-k.
     """
-    queries, chunk_fn, n_points, n_dim, compute_dtype = _scan_setup(
+    queries, points, n_points, n_dim, compute_dtype = _scan_setup(
         queries, points
     )
     if radius <= 0:
@@ -333,9 +290,9 @@ def chunked_radius_neighbors(
     if n_points == 0:
         return [np.empty(0, dtype=int) for _ in range(m)]
     itemsize, chunk_rows, query_block = _resolve_tiles(
-        points, n_dim, compute_dtype, chunk_rows, query_block
+        n_dim, compute_dtype, chunk_rows, query_block
     )
-    sq_norms = _scan_norms(sq_norms, chunk_fn, n_points, compute_dtype, chunk_rows)
+    sq_norms = _scan_norms(sq_norms, points, compute_dtype)
 
     queries = queries.astype(compute_dtype, copy=False)
     r2 = float(radius) * float(radius)
@@ -349,7 +306,7 @@ def chunked_radius_neighbors(
         q2 = -2.0 * q
         for ps in range(0, n_points, tile):
             pe = min(ps + tile, n_points)
-            chunk = chunk_fn(ps, pe).astype(compute_dtype, copy=False)
+            chunk = points[ps:pe].astype(compute_dtype, copy=False)
             d2 = q2 @ chunk.T
             d2 += sq_norms[ps:pe]
             hit_q, hit_p = np.nonzero(d2 <= thresh[:, None])

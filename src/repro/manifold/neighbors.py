@@ -4,9 +4,7 @@ The KD-tree comes from scipy (cKDTree); the brute-force path exists both
 as a correctness oracle for tests and for the high-dimensional RSSI
 vectors where KD-trees degrade to linear scans anyway.  The brute scan
 runs through the cache-blocked :func:`repro.manifold.chunked.chunked_argkmin`
-kernel, and can operate over a quantized uint8 radio map (``binner``)
-that streams dequantized tiles instead of holding float points,
-optionally reranking a quantized shortlist exactly (``refine``).
+kernel.
 """
 
 from __future__ import annotations
@@ -14,15 +12,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from repro.manifold.chunked import (
-    chunked_argkmin,
-    chunked_radius_neighbors,
-    tie_ordered_top_k,
-)
+from repro.manifold.chunked import chunked_argkmin, chunked_radius_neighbors
 from repro.utils.validation import check_2d
-
-#: Element budget of one rerank gather, ``(rows, shortlist, D)``.
-_RERANK_BLOCK_ELEMENTS = int(2e7)
 
 
 class KNNIndex:
@@ -38,98 +29,27 @@ class KNNIndex:
         breaks distance ties by lowest index (the package-wide rule, see
         :mod:`repro.manifold.chunked`); the KD-tree backend matches it on
         distances only, since scipy owns the order of its ties.
-    binner:
-        Optional fitted :class:`repro.quantization.FeatureBinner`.  When
-        given, the index stores only the uint8 bin codes of ``points``
-        (8x smaller than float64) and the brute kernel streams
-        bin-midpoint dequantized tiles; queries stay raw floats
-        (asymmetric distance — no query-side quantization error).
-        Binned indexes are brute-force only, and ``self.points`` is
-        ``None`` — the float map is deliberately not retained — unless
-        ``refine`` needs it.
-    refine:
-        Shortlist factor of a binned index's two-stage query.  ``0``
-        (the default) serves the raw asymmetric distances to the
-        dequantized codes.  ``refine > 0`` scans for the top
-        ``refine * k`` candidates with that distance, then reranks the
-        shortlist with exact float distances — the standard quantized
-        search refine step, which recovers near-perfect top-k recall at
-        a cost that is tiny next to the scan.  The index then keeps the
-        float ``points`` next to its codes for the rerank.  Requires a
-        binner.
     """
 
-    def __init__(
-        self,
-        points: np.ndarray,
-        method: str = "auto",
-        binner=None,
-        refine: int = 0,
-    ):
+    def __init__(self, points: np.ndarray, method: str = "auto"):
         if method not in ("auto", "kdtree", "brute"):
             raise ValueError(f"unknown method {method!r}")
-        self.refine = int(refine)
-        if self.refine < 0:
-            raise ValueError(f"refine must be >= 0, got {refine}")
-        if self.refine and binner is None:
-            raise ValueError(
-                "refine reranks a quantized shortlist: pass a binner"
-            )
-        if binner is not None:
-            if method == "kdtree":
-                raise ValueError("binned indexes are brute-force only")
-            points = check_2d(points, "points")
-            self._init_binned(binner, binner.transform(points))
-            if self.refine:
-                self.points = points
-            return
         self.points = check_2d(points, "points")
         if method == "auto":
             method = "kdtree" if self.points.shape[1] <= 20 else "brute"
         self.method = method
-        self.binner = None
         self._n, self._dim = self.points.shape
         self._tree = cKDTree(self.points) if method == "kdtree" else None
-        # brute-force scans stream straight from the float point set
-        self._source = self.points if method == "brute" else None
         # |p|^2 term of the brute-force expansion; computed once so repeated
         # queries against the same index never rescan the point set for it
         self._sq_points = (
             np.sum(self.points**2, axis=1) if method == "brute" else None
         )
 
-    @classmethod
-    def from_codes(cls, codes: np.ndarray, binner) -> "KNNIndex":
-        """Rebuild a binned index directly from stored uint8 codes.
-
-        The persistence restore path: codes round-trip through artifacts
-        verbatim, so no float map and no re-quantization is needed.
-        """
-        index = cls.__new__(cls)
-        index.refine = 0
-        index._init_binned(binner, codes)
-        return index
-
-    def _init_binned(self, binner, codes: np.ndarray) -> None:
-        from repro.quantization.binning import BinnedPoints
-
-        self.method = "brute"
-        self.binner = binner
-        self.points = None
-        self._tree = None
-        self._source = BinnedPoints(binner, codes)
-        self._n, self._dim = self._source.shape
-        self._sq_points = self._source.sq_norms()
-
     @property
     def n_features(self) -> int:
-        """Feature dimension (valid for float and binned indexes alike)."""
+        """Feature dimension of the indexed points."""
         return self._dim
-
-    @property
-    def codes(self) -> "np.ndarray | None":
-        """The stored uint8 codes of a binned index (``None`` otherwise)."""
-        return self._source.codes if self.binner is not None else None
 
     def __len__(self) -> int:
         return self._n
@@ -172,10 +92,6 @@ class KNNIndex:
             if effective_k == 1:
                 distances = distances[:, None]
                 indices = indices[:, None]
-        elif self.refine:
-            scan_k = min(effective_k * self.refine, self._n)
-            _, shortlist = self._brute_query(queries, scan_k)
-            distances, indices = self._rerank(queries, shortlist, effective_k)
         else:
             distances, indices = self._brute_query(queries, effective_k)
         if exclude_self:
@@ -183,33 +99,10 @@ class KNNIndex:
         return distances, indices
 
     def _brute_query(self, queries: np.ndarray, k: int):
-        # cache-blocked ||q - p||^2 GEMM with fused per-tile top-k; a binned
-        # index streams dequantized float32 tiles, and casting the queries
-        # down keeps the whole scan on sgemm (~2x dgemm on this hardware)
-        if self.binner is not None:
-            queries = queries.astype(self._source.dtype, copy=False)
+        # cache-blocked ||q - p||^2 GEMM with fused per-tile top-k
         return chunked_argkmin(
-            queries, self._source, k, sq_norms=self._sq_points
+            queries, self.points, k, sq_norms=self._sq_points
         )
-
-    def _rerank(self, queries: np.ndarray, shortlist: np.ndarray, k: int):
-        """The ``k`` nearest of each row's shortlist by exact float distance.
-
-        Row blocks keep the ``(rows, shortlist, D)`` gather within
-        :data:`_RERANK_BLOCK_ELEMENTS`.
-        """
-        m, scan_k = shortlist.shape
-        out_d = np.empty((m, k))
-        out_i = np.empty((m, k), dtype=shortlist.dtype)
-        rows = max(1, _RERANK_BLOCK_ELEMENTS // max(scan_k * self._dim, 1))
-        for start in range(0, m, rows):
-            ci = shortlist[start : start + rows]
-            diff = self.points[ci] - queries[start : start + rows, None, :]
-            d = np.sqrt(np.einsum("mkd,mkd->mk", diff, diff))
-            out_d[start : start + rows], out_i[start : start + rows] = (
-                tie_ordered_top_k(d, ci, k)
-            )
-        return out_d, out_i
 
 
 def kneighbors(

@@ -15,16 +15,10 @@ class KNNRegressor:
     inverse-distance weighting (exact matches dominate).
 
     One brute-force :class:`~repro.manifold.neighbors.KNNIndex` serves
-    the neighbors (lowest index wins distance ties); ``quantize_bins``
-    stores it as uint8 codes.
+    the neighbors (lowest index wins distance ties).
     """
 
-    def __init__(
-        self,
-        k: int = 5,
-        weights: str = "uniform",
-        quantize_bins: "int | None" = None,
-    ):
+    def __init__(self, k: int = 5, weights: str = "uniform"):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if weights not in ("uniform", "distance"):
@@ -33,9 +27,6 @@ class KNNRegressor:
             )
         self.k = int(k)
         self.weights = weights
-        self.quantize_bins = (
-            None if quantize_bins is None else int(quantize_bins)
-        )
         self.index_ = None  # KNNIndex after fit
         self.targets_: "np.ndarray | None" = None
         self._squeeze = False
@@ -54,12 +45,7 @@ class KNNRegressor:
         check_lengths_match(x, y, "x", "y")
         if len(x) < self.k:
             raise ValueError(f"need at least k={self.k} samples, got {len(x)}")
-        binner = None
-        if self.quantize_bins is not None:
-            from repro.quantization import FeatureBinner
-
-            binner = FeatureBinner(n_bins=self.quantize_bins).fit(x)
-        self.index_ = KNNIndex(x, method="brute", binner=binner)
+        self.index_ = KNNIndex(x, method="brute")
         self.targets_ = y
         return self
 

@@ -1,19 +1,13 @@
-"""Quantization: output-space grids (§III-B) and input-space binning.
+"""Quantization: output-space grids (§III-B).
 
 Continuous coordinates are snapped to non-overlapping square grid cells
 of side τ; populated cells become classes, empty cells (inaccessible
 space) are discarded.  A coarse second resolution l > τ and adjacency
 label augmentation address class sparsity.
-
-On the input side, :class:`FeatureBinner` bins RSSI features to uint8
-codes (sklearn hist-gradient-boosting style) so radio maps serve from
-one-eighth the memory; :class:`BinnedPoints` adapts the codes to the
-cache-blocked distance kernels in :mod:`repro.manifold.chunked`.
 """
 
 from repro.quantization.grid import GridQuantizer
 from repro.quantization.multires import MultiResolutionQuantizer
-from repro.quantization.binning import FeatureBinner, BinnedPoints, MAX_BINS
 from repro.quantization.labels import (
     multi_hot,
     adjacent_cells,
@@ -23,9 +17,6 @@ from repro.quantization.labels import (
 __all__ = [
     "GridQuantizer",
     "MultiResolutionQuantizer",
-    "FeatureBinner",
-    "BinnedPoints",
-    "MAX_BINS",
     "multi_hot",
     "adjacent_cells",
     "augment_with_adjacency",

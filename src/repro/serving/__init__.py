@@ -12,11 +12,10 @@ The production-facing seam of the repo.  Four pieces compose:
     for out-of-distribution scans).
 ``pipeline``
     :class:`FeaturePipeline`, the composable feature-space seam the
-    kNN-family backends share: one validated embedder → binner →
-    index chain (``transform=``), with the legacy
-    ``quantize_bins``/``dtype`` kwargs kept working as shims and every
-    stage absent-by-default so existing cache keys and on-disk
-    artifacts resolve unchanged.
+    backends share: one validated embedder → index chain
+    (``transform=``, or the per-stage ``embedder``/``dtype`` kwargs),
+    with every stage absent-by-default so existing cache keys and
+    on-disk artifacts resolve unchanged.
 ``cache``
     :class:`ModelCache`, a thread-safe LRU of fitted models keyed by
     dataset fingerprint + hyperparameters, with a per-key in-flight

@@ -30,9 +30,10 @@ class DelayedEstimator:
     """Estimator proxy that sleeps before a seeded fraction of batches.
 
     Predictions are untouched — only latency is injected — so every
-    parity assertion downstream still holds.  ``rate`` is the
-    per-``predict_batch`` probability of a ``delay_s`` stall, drawn
-    from a seeded generator for reproducibility.
+    parity assertion downstream still holds.  With a positive ``rate``
+    the first batch always stalls for ``delay_s``, so a run of any
+    length lands the fault; every later batch stalls with probability
+    ``rate``, drawn from a seeded generator for reproducibility.
     """
 
     def __init__(self, estimator, rate: float = 0.1, delay_s: float = 0.05,
@@ -51,7 +52,8 @@ class DelayedEstimator:
         return getattr(self._estimator, name)
 
     def predict_batch(self, signals):
-        if self.rate and self._rng.random() < self.rate:
+        # no stall yet means this is the first batch
+        if self.rate and (not self.n_delays or self._rng.random() < self.rate):
             self.n_delays += 1
             time.sleep(self.delay_s)
         return self._estimator.predict_batch(signals)

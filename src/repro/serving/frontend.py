@@ -497,20 +497,15 @@ class ServingFrontend:
         ``deadline_ms`` / ``timeout_ms`` override the front end's
         defaults for this request only; ``tenant`` is the fairness
         label (radio map / backend key) the admission policy sheds by.
-        Raises ``ValueError`` for a row that is not 1-D, holds NaN or
-        inf, or differs in width from the estimator's fitted width
-        (when it reports one);
+        Raises ``ValueError`` for a row that is not 1-D, is not real
+        numbers, holds NaN or inf, or differs in width from the
+        estimator's fitted width (when it reports one);
         :class:`FrontendClosedError` after :meth:`close`; and — per the
         admission policy — either waits for space at the backpressure
         bound (``BlockAdmission``) or refuses the request with
         :class:`ShedError` (a :class:`QueueFullError` subclass).
         """
-        signal = np.asarray(signal, dtype=float)
-        if signal.ndim != 1:
-            raise ValueError(
-                f"submit takes a single (W,) signal row, got shape {signal.shape}"
-            )
-        check_signals(signal, self._n_features)
+        signal = check_signals(signal, self._n_features, ndim=1)
         deadline = (self.deadline_ms if deadline_ms is None else deadline_ms) / 1e3
         if deadline <= 0:
             raise ValueError(f"deadline_ms must be > 0, got {deadline_ms}")

@@ -1,19 +1,18 @@
 """The feature-space pipeline seam shared by the serving backends.
 
-Historically every adapter in :mod:`repro.serving.registry` re-plumbed
-the same hyperparameters — ``quantize_bins``, ``dtype`` — through its
-own constructor, each re-implementing the canonicalization rules that
-keep :class:`~repro.serving.cache.ModelCache` /
-:class:`~repro.core.persistence.ModelStore` keys stable.  This module
-is the one shared seam: a validated **embedder → binner → index**
-chain (:class:`FeaturePipeline`) that every kNN-family backend
-resolves its configuration through, plus the canonical-param helpers
-the rest of the registry keys with.
+Every adapter in :mod:`repro.serving.registry` resolves its
+feature-space configuration — the learned embedder and ``dtype`` —
+through one validated **embedder → index** chain
+(:class:`FeaturePipeline`), so the canonicalization rules that keep
+:class:`~repro.serving.cache.ModelCache` /
+:class:`~repro.core.persistence.ModelStore` keys stable live in one
+place, next to the canonical-param helpers the rest of the registry
+keys with.
 
 Two spellings construct the same pipeline::
 
-    create("knn", quantize_bins=16)                # legacy kwarg
-    create("knn", transform={"bin": 16})           # transform= chain
+    create("noble", dtype="float32")               # per-stage kwarg
+    create("noble", transform={"dtype": "float32"})  # transform= chain
 
 and mixing them for the *same* stage is an error rather than a silent
 override.  The learned-embedding stage (``"embed"``) is only available
@@ -21,10 +20,9 @@ on backends that declare it (the ``"embed-knn"`` backend); everywhere
 else it fails at construction with a pointer to the right backend.
 
 Cache-key stability is the load-bearing invariant: every stage is
-**absent-by-default** in the canonical params (``quantize_bins=None``
-and ``dtype=None`` produce no key at all), so
-pre-existing ``describe()`` strings, cache keys, and on-disk
-:class:`ModelStore` artifacts resolve unchanged.
+**absent-by-default** in the canonical params (``dtype=None`` produces
+no key at all), so pre-existing ``describe()`` strings, cache keys, and
+on-disk :class:`ModelStore` artifacts resolve unchanged.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 #: Stage names, in hot-path application order.
-PIPELINE_STAGES = ("embed", "bin")
+PIPELINE_STAGES = ("embed",)
 
 
 def _canonical_seed(seed):
@@ -57,34 +55,13 @@ def _dtype_param(dtype) -> dict:
     return {"dtype": str(resolve_dtype(dtype))}
 
 
-def _quantize_param(quantize_bins) -> dict:
-    """Canonical ``quantize_bins`` entry for an adapter's params.
-
-    Returns ``{}`` for ``None`` (the raw-float default) so pre-existing
-    describe() strings and :class:`repro.serving.cache.ModelCache` keys
-    are untouched; a set value is validated here so a bad bin count
-    fails at construction, before any fit work happens.
-    """
-    if quantize_bins is None:
-        return {}
-    from repro.quantization.binning import MAX_BINS
-
-    bins = int(quantize_bins)
-    if not 2 <= bins <= MAX_BINS:
-        raise ValueError(
-            f"quantize_bins must be in [2, {MAX_BINS}], got {bins}"
-        )
-    return {"quantize_bins": bins}
-
-
 class FeaturePipeline:
-    """A validated embedder → binner → index configuration.
+    """A validated embedder → index configuration.
 
     Backends construct one through :meth:`resolve` (which merges the
-    ``transform=`` spelling with the legacy per-stage kwargs), then key
-    themselves with :meth:`canonical_params` and build the hot-path
-    stages with :meth:`build_embedder` / the ``quantize_bins``
-    attribute.
+    ``transform=`` spelling with the per-stage kwargs), then key
+    themselves with :meth:`canonical_params` and build the embed stage
+    with :meth:`build_embedder`.
 
     Parameters
     ----------
@@ -99,8 +76,6 @@ class FeaturePipeline:
         Learned-embedding stage: an embedder kind from
         :data:`repro.embedding.EMBEDDER_KINDS` plus its constructor
         kwargs.
-    quantize_bins:
-        uint8 radio-map quantization stage.
     dtype:
         Compute precision, canonicalized like the nn backends.
     """
@@ -109,10 +84,9 @@ class FeaturePipeline:
         self,
         *,
         backend: str = "?",
-        stages: tuple = ("bin",),
+        stages: tuple = (),
         embedder: "str | None" = None,
         embed_params: "dict | None" = None,
-        quantize_bins: "int | None" = None,
         dtype=None,
     ):
         unknown = set(stages) - set(PIPELINE_STAGES)
@@ -138,13 +112,8 @@ class FeaturePipeline:
                 )
         elif embed_params:
             raise ValueError("embed_params given without an embedder kind")
-        if quantize_bins is not None and "bin" not in self.stages:
-            raise ValueError(
-                f"backend {backend!r} has no quantization stage"
-            )
         self.embedder_kind = embedder
         self.embed_params = dict(embed_params or {})
-        self.quantize_bins = quantize_bins
         self.dtype = dtype
         # validate eagerly: a bad configuration must fail at
         # construction, not at fit time deep inside a cache miss
@@ -156,21 +125,19 @@ class FeaturePipeline:
         transform=None,
         *,
         backend: str = "?",
-        stages: tuple = ("bin",),
+        stages: tuple = (),
         embedder: "str | None" = None,
         embed_params: "dict | None" = None,
-        quantize_bins: "int | None" = None,
         dtype=None,
     ) -> "FeaturePipeline":
-        """Merge the ``transform=`` spelling with the legacy kwargs.
+        """Merge the ``transform=`` spelling with the per-stage kwargs.
 
         ``transform`` is ``None``, an existing :class:`FeaturePipeline`
         (re-validated against this backend's stages), or a dict with
-        keys from ``{"embed", "bin", "dtype"}``::
+        keys from ``{"embed", "dtype"}``::
 
             {"embed": "mlp"}                           # kind, default params
             {"embed": {"kind": "mlp", "epochs": 20}}   # kind + params
-            {"bin": 16}                                # quantize_bins
             {"dtype": "float32"}
 
         Setting the same stage through both spellings raises — silent
@@ -183,7 +150,6 @@ class FeaturePipeline:
                 stages=stages,
                 embedder=embedder,
                 embed_params=embed_params,
-                quantize_bins=quantize_bins,
                 dtype=dtype,
             )
         if isinstance(transform, FeaturePipeline):
@@ -195,17 +161,17 @@ class FeaturePipeline:
                 "transform must be a dict or FeaturePipeline, got "
                 f"{type(transform).__name__}"
             )
-        unknown = set(spec) - {"embed", "bin", "dtype"}
+        unknown = set(spec) - {"embed", "dtype"}
         if unknown:
             raise ValueError(
                 f"unknown transform stages {sorted(unknown)}; allowed: "
-                "embed, bin, dtype"
+                "embed, dtype"
             )
 
-        def conflict(stage, legacy_name):
+        def conflict(stage, kwarg_name):
             raise ValueError(
-                f"transform sets the {stage!r} stage but the legacy "
-                f"{legacy_name} kwarg is also set; use one spelling"
+                f"transform sets the {stage!r} stage but the "
+                f"{kwarg_name} kwarg is also set; use one spelling"
             )
 
         if "embed" in spec:
@@ -228,10 +194,6 @@ class FeaturePipeline:
                     "transform embed stage must be a kind string or a "
                     f"dict, got {type(embed_spec).__name__}"
                 )
-        if "bin" in spec:
-            if quantize_bins is not None:
-                conflict("bin", "quantize_bins=")
-            quantize_bins = spec["bin"]
         if "dtype" in spec:
             if dtype is not None:
                 conflict("dtype", "dtype=")
@@ -241,7 +203,6 @@ class FeaturePipeline:
             stages=stages,
             embedder=embedder,
             embed_params=embed_params,
-            quantize_bins=quantize_bins,
             dtype=dtype,
         )
 
@@ -250,8 +211,6 @@ class FeaturePipeline:
         spec: dict = {}
         if self.embedder_kind is not None:
             spec["embed"] = {"kind": self.embedder_kind, **self.embed_params}
-        if self.quantize_bins is not None:
-            spec["bin"] = self.quantize_bins
         if self.dtype is not None:
             spec["dtype"] = self.dtype
         return spec
@@ -280,6 +239,5 @@ class FeaturePipeline:
             embed_params["seed"] = _canonical_seed(embed_params.get("seed", 0))
             params["embedder"] = self.embedder_kind
             params["embed_params"] = dict(sorted(embed_params.items()))
-        params.update(_quantize_param(self.quantize_bins))
         params.update(_dtype_param(self.dtype))
         return params

@@ -30,10 +30,12 @@ import numpy as np
 
 from repro.data.ujiindoor import FingerprintDataset
 from repro.serving.pipeline import FeaturePipeline, _canonical_seed
-from repro.utils.validation import check_2d, check_fitted
+from repro.utils.validation import check_fitted
 
 #: name -> Estimator subclass; populated by :func:`register`.
 _REGISTRY: "dict[str, type]" = {}
+
+_FLOAT64 = np.dtype(float)
 
 
 @dataclass
@@ -64,15 +66,27 @@ class Prediction:
         )
 
 
-def check_signals(signals: np.ndarray, width: "int | None") -> None:
-    """Refuse scans the fitted model cannot serve, with ``ValueError``.
+def check_signals(signals, width: "int | None", ndim: int) -> np.ndarray:
+    """``signals`` as float64, or ``ValueError`` for a scan the model cannot serve.
 
-    ``signals`` is one (W,) row or an (N, W) batch.  A width other than
-    ``width`` (skipped when None: the estimator reports none) or any NaN
-    or inf is refused.  The one boundary check of both
-    :meth:`Estimator.predict_batch` and
+    ``signals`` must be one (W,) row (``ndim=1``) or an (N, W) batch
+    (``ndim=2``) of real numbers.  A complex, string, bool or object
+    dtype is refused before the float cast could silently drop part of
+    it; so are a width other than ``width`` (skipped when None: the
+    estimator reports none) and any NaN or inf.  The one boundary check
+    of both :meth:`Estimator.predict_batch` and
     :meth:`repro.serving.ServingFrontend.submit`.
     """
+    signals = np.asarray(signals)
+    if signals.dtype is not _FLOAT64:
+        if signals.dtype.kind not in "iuf":
+            raise ValueError(
+                f"signals must be real numbers, got dtype {signals.dtype}"
+            )
+        signals = signals.astype(float)
+    if signals.ndim != ndim:
+        expected = "a single (W,) signal row" if ndim == 1 else "an (N, W) batch"
+        raise ValueError(f"expected {expected}, got shape {signals.shape}")
     if width is not None and signals.shape[-1] != width:
         raise ValueError(
             f"signal width {signals.shape[-1]} does not match the "
@@ -83,6 +97,7 @@ def check_signals(signals: np.ndarray, width: "int | None") -> None:
     flat = signals.ravel()
     if not (math.isfinite(flat.dot(flat)) or np.isfinite(flat).all()):
         raise ValueError("signal row holds NaN or inf")
+    return signals
 
 
 def concatenate(predictions: "list[Prediction]") -> Prediction:
@@ -156,12 +171,12 @@ class Estimator:
 
         Every backend's :meth:`predict_batch` comes through here, so a
         direct call refuses what the front end's ``submit`` refuses
-        (:func:`check_signals`): a width other than
+        (:func:`check_signals`): a non-real dtype, a width other than
         :attr:`n_features_in_`, and NaN or inf.
         """
-        signals = check_2d(signals, "signals")
-        check_signals(signals, self.n_features_in_)
-        return signals_dataset(signals)
+        return signals_dataset(
+            check_signals(signals, self.n_features_in_, ndim=2)
+        )
 
 
 def signals_dataset(signals: np.ndarray) -> FingerprintDataset:
@@ -222,9 +237,9 @@ def params_key(hyperparams: dict) -> str:
     return repr(sorted(hyperparams.items()))
 
 
-# The canonical-param helpers (_canonical_seed, _dtype_param,
-# _quantize_param) live in repro.serving.pipeline — the shared
-# feature-space seam; the one adapters still call is re-imported above.
+# The canonical-param helpers (_canonical_seed, _dtype_param) live in
+# repro.serving.pipeline — the shared feature-space seam; the one
+# adapters still call is re-imported above.
 
 # --------------------------------------------------------------------- adapters
 @register("knn")
@@ -232,23 +247,11 @@ class KNNFingerprintingEstimator(Estimator):
     """Classic weighted-kNN fingerprinting behind the serving protocol.
 
     One brute-force radio-map index; among fingerprints tied at the
-    k-th neighbor distance the lowest index wins.  ``quantize_bins``
-    (or ``transform={"bin": N}``) stores the map as uint8 codes.
+    k-th neighbor distance the lowest index wins.
     """
 
-    def __init__(
-        self,
-        k: int = 5,
-        weighted: bool = True,
-        quantize_bins: "int | None" = None,
-        transform=None,
-    ):
-        self._pipeline = FeaturePipeline.resolve(
-            transform,
-            backend="knn",
-            stages=("bin",),
-            quantize_bins=quantize_bins,
-        )
+    def __init__(self, k: int = 5, weighted: bool = True, transform=None):
+        self._pipeline = FeaturePipeline.resolve(transform, backend="knn")
         super().__init__(
             k=int(k),
             weighted=bool(weighted),
@@ -277,8 +280,7 @@ class EmbeddedKNNEstimator(Estimator):
     The full feature-space pipeline: a learned embedder (§III-C — an
     NCA metric learner or an AE-pretrained MLP from
     :mod:`repro.embedding`) maps the radio map into a compact space at
-    fit, the existing (optionally quantized) kNN index is built on the
-    *embedded* points, and query batches are embedded on the hot path
+    fit, the existing kNN index is built on the *embedded* points, and query batches are embedded on the hot path
     before the neighbor scan.  Distances shrink from the raw WAP count
     to ``n_components``, so the scan is faster *and* — because the
     embedding pulls same-location fingerprints together — typically
@@ -291,7 +293,6 @@ class EmbeddedKNNEstimator(Estimator):
 
         create("embed-knn", transform={
             "embed": {"kind": "mlp", "n_components": 16},
-            "bin": 16,
         })
     """
 
@@ -301,7 +302,6 @@ class EmbeddedKNNEstimator(Estimator):
         weighted: bool = True,
         embedder: "str | None" = None,
         embed_params: "dict | None" = None,
-        quantize_bins: "int | None" = None,
         transform=None,
     ):
         transform_embeds = (
@@ -316,10 +316,9 @@ class EmbeddedKNNEstimator(Estimator):
         pipeline = FeaturePipeline.resolve(
             transform,
             backend="embed-knn",
-            stages=("embed", "bin"),
+            stages=("embed",),
             embedder=embedder,
             embed_params=embed_params,
-            quantize_bins=quantize_bins,
         )
         self._pipeline = pipeline
         super().__init__(
@@ -374,15 +373,10 @@ class NObLeWifiEstimator(Estimator):
         val_fraction: float = 0.0,
         seed=0,
         dtype=None,
-        quantize_bins: "int | None" = None,
         transform=None,
     ):
         self._pipeline = FeaturePipeline.resolve(
-            transform,
-            backend="noble",
-            stages=("bin",),
-            quantize_bins=quantize_bins,
-            dtype=dtype,
+            transform, backend="noble", dtype=dtype
         )
         super().__init__(
             tau=float(tau),
@@ -420,8 +414,6 @@ class CNNLocEstimator(Estimator):
 
     ``dtype="float32"`` selects the fused float32 training fast path; a
     cache-keyed hyperparameter like on the ``noble`` backend.
-    ``quantize_bins`` trains and serves on the uint8-quantized radio
-    map (same semantics as the kNN/NObLe backends).
     """
 
     def __init__(
@@ -434,15 +426,10 @@ class CNNLocEstimator(Estimator):
         lr: float = 1e-3,
         seed=0,
         dtype=None,
-        quantize_bins: "int | None" = None,
         transform=None,
     ):
         self._pipeline = FeaturePipeline.resolve(
-            transform,
-            backend="cnnloc",
-            stages=("bin",),
-            quantize_bins=quantize_bins,
-            dtype=dtype,
+            transform, backend="cnnloc", dtype=dtype
         )
         super().__init__(
             encoder_sizes=tuple(int(s) for s in encoder_sizes),
@@ -491,22 +478,12 @@ class _RegressorEstimator(Estimator):
 class KNNRegressorEstimator(_RegressorEstimator):
     """Generic kNN regression (signals → coordinates) for serving.
 
-    One brute-force index over the normalized signals, optionally
-    quantized (``quantize_bins`` / ``transform={"bin": N}``).
+    One brute-force index over the normalized signals.
     """
 
-    def __init__(
-        self,
-        k: int = 5,
-        weights: str = "uniform",
-        quantize_bins: "int | None" = None,
-        transform=None,
-    ):
+    def __init__(self, k: int = 5, weights: str = "uniform", transform=None):
         self._pipeline = FeaturePipeline.resolve(
-            transform,
-            backend="knn-regressor",
-            stages=("bin",),
-            quantize_bins=quantize_bins,
+            transform, backend="knn-regressor"
         )
         super().__init__(
             k=int(k),
@@ -558,8 +535,6 @@ class EnsembleEstimator(Estimator):
         ood_quantile: float = 0.99,
         primary_params: "dict | None" = None,
         fallback_params: "dict | None" = None,
-        quantize_bins: "int | None" = None,
-        transform=None,
     ):
         if "ensemble" in (primary, fallback):
             raise ValueError("ensemble backends cannot nest")
@@ -567,14 +542,6 @@ class EnsembleEstimator(Estimator):
             raise ValueError(
                 f"ood_quantile must be in [0, 1], got {ood_quantile}"
             )
-        # the ensemble's own pipeline covers the OOD gate index; the
-        # children configure theirs via primary_params/fallback_params
-        self._pipeline = FeaturePipeline.resolve(
-            transform,
-            backend="ensemble",
-            stages=("bin",),
-            quantize_bins=quantize_bins,
-        )
         self._primary = create(primary, **dict(primary_params or {}))
         self._fallback = create(fallback, **dict(fallback_params or {}))
         super().__init__(
@@ -585,7 +552,6 @@ class EnsembleEstimator(Estimator):
             # spellings collapsed), so the cache key inherits that
             primary_params=dict(sorted(self._primary.params.items())),
             fallback_params=dict(sorted(self._fallback.params.items())),
-            **self._pipeline.canonical_params(),
         )
         self.ood_threshold_: "float | None" = None
         self.routes_ = {"primary": 0, "fallback": 0}
@@ -600,9 +566,7 @@ class EnsembleEstimator(Estimator):
         self._primary.fit(dataset)
         self._fallback.fit(dataset)
         signals = dataset.normalized_signals()
-        self._ood_index = KNNIndex(
-            signals, method="brute", binner=self._fit_gate_binner(signals)
-        )
+        self._ood_index = KNNIndex(signals, method="brute")
         if len(signals) > 1:
             distances, _ = self._ood_index.query(
                 signals, k=1, exclude_self=True, on_excess="clamp"
@@ -627,25 +591,13 @@ class EnsembleEstimator(Estimator):
         self.routes_ = {"primary": 0, "fallback": 0}
         return self
 
-    def _fit_gate_binner(self, signals: np.ndarray):
-        """uint8 quantizer for the OOD gate index when ``quantize_bins`` set.
-
-        Mirrors the kNN backends: the gate's stored fingerprints are
-        binned, queries stay raw (asymmetric distance), so the gate's
-        memory footprint quantizes like the serving indexes do.
-        """
-        if "quantize_bins" not in self.params:
-            return None
-        from repro.quantization import FeatureBinner
-
-        return FeatureBinner(n_bins=self.params["quantize_bins"]).fit(signals)
-
     def predict_batch(self, signals: np.ndarray) -> Prediction:
         check_fitted(self, "ood_threshold_")
-        signals = check_2d(signals, "signals")
+        dataset = self._as_dataset(signals)
+        signals = dataset.rssi
         if len(signals) == 0:
             return self._strip(self._primary.predict_batch(signals))
-        normalized = self._as_dataset(signals).normalized_signals()
+        normalized = dataset.normalized_signals()
         distances, _ = self._ood_index.query(normalized, k=1)
         ood = distances[:, 0] > self.ood_threshold_
         self.routes_["primary"] += int((~ood).sum())

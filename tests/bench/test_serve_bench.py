@@ -126,9 +126,9 @@ class TestValidatePayload:
 
     def test_rejects_non_dict_block_without_crashing(self, smoke_result):
         payload = smoke_result.payload()
-        payload["quant"] = ["not", "a", "block"]
+        payload["embed"] = ["not", "a", "block"]
         payload["workload"] = None
-        with pytest.raises(ValueError, match="quant must be a dict"):
+        with pytest.raises(ValueError, match="embed must be a dict"):
             validate_serve_bench_payload(payload)
 
     def test_rejects_non_dict_payload(self):
@@ -236,88 +236,12 @@ class TestSchemaVersioning:
         with pytest.raises(ValueError, match="repro-serve-bench"):
             validate_bench_payload(payload)
 
-
-class TestQuantBlock:
-    """The quantized-scan leg (schema v4): emission + validation."""
-
-    def test_block_emitted_and_valid(self, smoke_result):
+    def test_v8_artifact_with_a_quant_block_is_rejected(self, smoke_result):
+        # version 9 dropped the quant block with the binning stage
         payload = smoke_result.payload()
-        validate_serve_bench_payload(payload)
-        quant = payload["quant"]
-        preset = PRESETS["smoke"]
-        assert quant["n_bins"] == preset.quant_bins
-        assert quant["k"] == min(preset.quant_k, quant["n_points"])
-        assert quant["refine"] == preset.quant_refine
-        assert quant["n_queries"] == preset.quant_queries
-        assert quant["baseline"]["requests_per_second"] > 0
-        assert quant["quant"]["requests_per_second"] > 0
-        # exactly the uint8 / float32 itemsize ratio
-        assert quant["headline"]["bytes_ratio"] == pytest.approx(0.25)
-        assert quant["recall_at_k"] >= preset.quant_min_recall
-        # the throughput floor is deliberately off at smoke scale
-        assert quant["headline"]["floor_enforced"] is False
-        assert quant["headline"]["min_speedup_asserted"] == 0.0
-
-    def test_report_mentions_the_quant_leg(self, smoke_result):
-        report = smoke_result.report()
-        assert "quant:" in report
-        assert "uint8 scan" in report and "float32 scan" in report
-
-    def test_impossible_quant_floor_raises(self):
-        with pytest.raises(ServeSpeedupError, match="monolithic"):
-            run_serve_bench(preset="smoke", seed=9, quant_min_speedup=1e9)
-
-    def test_impossible_recall_floor_raises(self):
-        # 2-bin quantization cannot hit perfect recall: the recall floor
-        # must trip as a parity failure, not pass silently
-        from dataclasses import replace
-
-        from repro.bench.serve import _quant_block
-
-        impossible = replace(
-            PRESETS["smoke"], quant_bins=2, quant_refine=0,
-            quant_min_recall=1.0, quant_max_bytes_ratio=0.0,
-        )
-        with pytest.raises(ServeParityError, match="recall"):
-            _quant_block(impossible, seed=9, min_speedup=0.0)
-
-    def test_validator_rejects_missing_block(self, smoke_result):
-        payload = smoke_result.payload()
-        del payload["quant"]
-        with pytest.raises(ValueError, match="quant"):
-            validate_serve_bench_payload(payload)
-
-    def test_validator_rejects_broken_leg_field(self, smoke_result):
-        payload = smoke_result.payload()
-        payload["quant"]["quant"]["requests_per_second"] = "fast"
-        with pytest.raises(ValueError, match="requests_per_second"):
-            validate_serve_bench_payload(payload)
-
-    def test_validator_rejects_recall_below_floor(self, smoke_result):
-        payload = smoke_result.payload()
-        payload["quant"]["headline"]["recall_at_k"] = 0.5
-        with pytest.raises(ValueError, match="recall_at_k 0.5 is below"):
-            validate_serve_bench_payload(payload)
-
-    def test_validator_rejects_bytes_above_ceiling(self, smoke_result):
-        payload = smoke_result.payload()
-        payload["quant"]["headline"]["bytes_ratio"] = 0.9
-        with pytest.raises(ValueError, match="bytes_ratio"):
-            validate_serve_bench_payload(payload)
-
-    def test_validator_rejects_enforced_floor_violation(self, smoke_result):
-        payload = smoke_result.payload()
-        head = payload["quant"]["headline"]
-        head["floor_enforced"] = True
-        head["min_speedup_asserted"] = 10.0
-        head["speedup_vs_float32"] = 1.2
-        with pytest.raises(ValueError, match="below the asserted floor"):
-            validate_serve_bench_payload(payload)
-
-    def test_validator_rejects_missing_headline_key(self, smoke_result):
-        payload = smoke_result.payload()
-        del payload["quant"]["headline"]["max_bytes_ratio_asserted"]
-        with pytest.raises(ValueError, match="max_bytes_ratio_asserted"):
+        payload["schema"] = "repro-serve-bench/8"
+        payload["quant"] = {}
+        with pytest.raises(ValueError, match="repro-serve-bench/9"):
             validate_serve_bench_payload(payload)
 
 
@@ -332,7 +256,6 @@ class TestEmbedBlock:
         assert embed["embedder"] == preset.embed_embedder
         assert embed["n_components"] == preset.embed_components
         assert embed["n_queries"] == preset.embed_queries
-        assert embed["n_bins"] == preset.embed_bins
         assert embed["k"] == min(preset.embed_k, embed["n_points"])
         for side in ("raw", "embed"):
             leg = embed[side]
@@ -435,6 +358,9 @@ class TestResilienceBlock:
         assert outcomes["answered"] + outcomes["shed"] == preset.chaos_queries
         assert outcomes["failed"] == 0
         assert outcomes["hung"] == 0
+        # the burst is paced, so batches (at least one slow) keep landing
+        assert resilience["faults"]["delayed_batches"] >= 1
+        assert outcomes["answered"] > preset.chaos_max_pending
         head = resilience["headline"]
         assert head["availability"] >= preset.chaos_min_availability
         assert head["parity_ok"] is True
@@ -460,6 +386,12 @@ class TestResilienceBlock:
         config, train, queries = serve_workload("smoke", 9)
         with pytest.raises(ServeSpeedupError, match="availability"):
             _resilience_block(config, train, queries, 9, 2.0)
+
+    def test_validator_rejects_a_run_without_slow_batches(self, smoke_result):
+        payload = smoke_result.payload()
+        payload["resilience"]["faults"]["delayed_batches"] = 0
+        with pytest.raises(ValueError, match="delayed_batches"):
+            validate_serve_bench_payload(payload)
 
     def test_validator_rejects_missing_block(self, smoke_result):
         payload = smoke_result.payload()

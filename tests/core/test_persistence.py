@@ -310,6 +310,16 @@ class TestArtifactErrorPaths:
         with pytest.raises(ArtifactError, match="shards"):
             load_estimator(path)
 
+    def test_binning_params_rejected(self, fitted_knn, tmp_path):
+        # an artifact keyed with the removed quantize_bins= hyperparameter
+        # must fail typed, never load as the float-index model
+        path = self._tampered(
+            fitted_knn, tmp_path,
+            lambda env: env["params"].update(quantize_bins=16),
+        )
+        with pytest.raises(ArtifactError, match="quantize_bins"):
+            load_estimator(path)
+
     def test_legacy_unsharded_index_meta_loads(
         self, fitted_knn, uji_split, tmp_path
     ):
@@ -357,3 +367,13 @@ class TestDirectPathValidation:
             estimator.predict_batch(rows)
         with pytest.raises(ValueError, match="width"):
             estimator.predict_batch(np.zeros((2, test.n_aps + 1)))
+
+    @pytest.mark.parametrize("label", sorted(ARTIFACT_CONFIGS))
+    def test_complex_scans_refused(self, label, fitted_estimators, uji_split):
+        # a float cast would drop the imaginary part and serve an answer
+        _train, _val, test = uji_split
+        estimator = fitted_estimators[label]
+        with pytest.raises(ValueError, match="real numbers"):
+            estimator.predict_batch(test.rssi[:3].astype(complex))
+        with pytest.raises(ValueError, match="real numbers"):
+            estimator.predict_batch(test.rssi[:3].astype(str))

@@ -192,13 +192,3 @@ class TestTileSizing:
         assert abs(_tile_rows(square, 48, 8, l2_bytes=l2) - square) <= 1
         assert _tile_rows(10, 48, 8, l2_bytes=l2) > 8 * square
         assert _tile_rows(10**6, 48, 8, l2_bytes=l2) == 32
-
-    def test_binned_source_advertises_storage_itemsize(self):
-        from repro.quantization import FeatureBinner
-        from repro.quantization.binning import BinnedPoints
-
-        x = RNG.uniform(0, 1, size=(50, 6))
-        binner = FeatureBinner(n_bins=16).fit(x)
-        source = BinnedPoints(binner, binner.transform(x))
-        assert source.storage_itemsize == 1
-        assert source.dtype == np.float32  # the transient compute view

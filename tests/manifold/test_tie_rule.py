@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 
 from repro.manifold.chunked import chunked_argkmin
 from repro.manifold.neighbors import KNNIndex, kneighbors
-from repro.quantization import FeatureBinner
-from repro.quantization.binning import BinnedPoints
 
 TIE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -82,27 +80,6 @@ class TestKernel:
         np.testing.assert_array_equal(idx, oidx)
         np.testing.assert_allclose(dist, odist, rtol=1e-6)
 
-    @TIE_SETTINGS
-    @given(
-        chunk_rows=st.sampled_from([1, 3, 7, None]),
-        n_bins=st.integers(2, 8),
-        **map_params,
-    )
-    def test_binned_source(
-        self, seed, n_unique, copies, dim, k, chunk_rows, n_bins
-    ):
-        # quantile midpoints of integer data are quarter-integers, so the
-        # dequantized map keeps every distance exact
-        points, rng = duplicate_map(seed, n_unique, copies, dim)
-        binner = FeatureBinner(n_bins=n_bins).fit(points)
-        source = BinnedPoints(binner, binner.transform(points))
-        queries = rng.integers(-3, 4, size=(5, dim)).astype(float)
-        dist, idx = chunked_argkmin(queries, source, k, chunk_rows=chunk_rows)
-        dequantized = source.chunk(0, len(points)).astype(float)
-        odist, oidx = oracle(queries, dequantized, min(k, len(points)))
-        np.testing.assert_array_equal(idx, oidx)
-        np.testing.assert_array_equal(dist, odist)
-
     @pytest.mark.parametrize("where", ["first", "last"])
     def test_neighbors_in_one_end_tile(self, where):
         # far decoys fill every other tile; twins of the query sit only in
@@ -124,38 +101,16 @@ class TestKernel:
 
 class TestIndexes:
     @TIE_SETTINGS
-    @given(binned=st.booleans(), **map_params)
-    def test_knn_index(self, seed, n_unique, copies, dim, k, binned):
-        points, rng = duplicate_map(seed, n_unique, copies, dim)
-        queries = rng.integers(-3, 4, size=(5, dim)).astype(float)
-        k = min(k, len(points))
-        if binned:
-            binner = FeatureBinner(n_bins=4).fit(points)
-            index = KNNIndex(points, method="brute", binner=binner)
-            reference = index._source.chunk(0, len(points)).astype(float)
-        else:
-            index = KNNIndex(points, method="brute")
-            reference = points
-        dist, idx = index.query(queries, k)
-        odist, oidx = oracle(queries, reference, k)
-        np.testing.assert_array_equal(idx, oidx)
-        np.testing.assert_allclose(dist, odist, rtol=1e-6)
-
-    @TIE_SETTINGS
     @given(**map_params)
-    def test_refined_knn_index(self, seed, n_unique, copies, dim, k):
-        # a shortlist as long as the map: the exact rerank alone decides
+    def test_knn_index(self, seed, n_unique, copies, dim, k):
         points, rng = duplicate_map(seed, n_unique, copies, dim)
         queries = rng.integers(-3, 4, size=(5, dim)).astype(float)
         k = min(k, len(points))
-        binner = FeatureBinner(n_bins=4).fit(points)
-        index = KNNIndex(
-            points, method="brute", binner=binner, refine=len(points)
-        )
+        index = KNNIndex(points, method="brute")
         dist, idx = index.query(queries, k)
         odist, oidx = oracle(queries, points, k)
         np.testing.assert_array_equal(idx, oidx)
-        np.testing.assert_array_equal(dist, odist)
+        np.testing.assert_allclose(dist, odist, rtol=1e-6)
 
     @TIE_SETTINGS
     @given(**map_params)

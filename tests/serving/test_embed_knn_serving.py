@@ -74,19 +74,6 @@ class TestServing:
             atol=1e-8,
         )
 
-    def test_quantized_embedded_index_serves(self, uji_split):
-        # the composed pipeline: embed -> uint8 bin -> scan
-        train, _val, test = uji_split
-        est = create(
-            "embed-knn", k=3, embedder="mlp", embed_params=FAST_EMBED,
-            quantize_bins=64,
-        ).fit(train)
-        index = est.model_.index_
-        assert index.binner is not None
-        assert index.codes.dtype == np.uint8
-        prediction = est.predict_batch(test.rssi)
-        assert prediction.coordinates.shape == (len(test), 2)
-
     def test_metric_embedder_variant_serves(self, uji_split):
         train, _val, test = uji_split
         est = create(
@@ -158,21 +145,6 @@ class TestArtifactRoundTrip:
         path = tmp_path / "embed-knn-metric.npz"
         save_estimator(est, path)
         restored = load_estimator(path)
-        np.testing.assert_array_equal(
-            est.predict_batch(test.rssi).coordinates,
-            restored.predict_batch(test.rssi).coordinates,
-        )
-
-    def test_quantized_variant_round_trips(self, uji_split, tmp_path):
-        train, _val, test = uji_split
-        est = create(
-            "embed-knn", k=3, embedder="mlp", embed_params=FAST_EMBED,
-            quantize_bins=32,
-        ).fit(train)
-        path = tmp_path / "embed-knn-binned.npz"
-        save_estimator(est, path)
-        restored = load_estimator(path)
-        assert restored.model_.index_.binner is not None
         np.testing.assert_array_equal(
             est.predict_batch(test.rssi).coordinates,
             restored.predict_batch(test.rssi).coordinates,

@@ -22,12 +22,6 @@ class TestCacheKeyStability:
             "[('k', 5), ('weighted', True)]"
         )
 
-    def test_knn_quantized_key(self):
-        est = create("knn", quantize_bins=16)
-        assert params_key(est.params) == (
-            "[('k', 5), ('quantize_bins', 16), ('weighted', True)]"
-        )
-
     def test_knn_regressor_default_key(self):
         assert params_key(create("knn-regressor").params) == (
             "[('k', 5), ('weights', 'uniform')]"
@@ -42,14 +36,13 @@ class TestCacheKeyStability:
         )
 
     def test_absent_by_default_stages(self):
-        # quantize_bins=None / dtype=None contribute no key at all —
-        # the invariant that keeps pre-seam artifacts resolving
+        # dtype=None contributes no key at all — the invariant that
+        # keeps pre-seam artifacts resolving
         for backend in ("knn", "knn-regressor", "noble", "cnnloc"):
             params = create(backend).params
-            assert "quantize_bins" not in params
             assert "dtype" not in params
-        explicit = create("knn", quantize_bins=None)
-        assert explicit.params == create("knn").params
+        explicit = create("noble", dtype=None)
+        assert explicit.params == create("noble").params
 
     def test_dtype_spellings_share_a_key(self):
         a = create("noble", dtype="float32")
@@ -65,9 +58,8 @@ class TestCacheKeyStability:
 class TestTransformSpelling:
     def test_transform_keys_like_legacy_kwargs(self):
         pairs = [
-            ("knn", dict(quantize_bins=16), {"bin": 16}),
             ("noble", dict(dtype="float32"), {"dtype": "float32"}),
-            ("knn-regressor", dict(quantize_bins=64), {"bin": 64}),
+            ("cnnloc", dict(dtype="float32"), {"dtype": "float32"}),
         ]
         for backend, legacy, transform in pairs:
             a = create(backend, **legacy)
@@ -94,18 +86,16 @@ class TestTransformSpelling:
         assert params_key(a.params) != params_key(different.params)
 
     def test_pipeline_instance_as_transform(self):
-        pipeline = FeaturePipeline(
-            backend="knn", stages=("bin",), quantize_bins=32
-        )
-        a = create("knn", transform=pipeline)
-        b = create("knn", quantize_bins=32)
+        pipeline = FeaturePipeline(backend="noble", dtype="float32")
+        a = create("noble", transform=pipeline)
+        b = create("noble", dtype="float32")
         assert a.params == b.params
 
     def test_spec_round_trips(self):
         pipeline = FeaturePipeline(
             backend="embed-knn", stages=PIPELINE_STAGES,
             embedder="mlp", embed_params={"n_components": 8},
-            quantize_bins=16, dtype="float32",
+            dtype="float32",
         )
         rebuilt = FeaturePipeline.resolve(
             pipeline.spec(), backend="embed-knn", stages=PIPELINE_STAGES
@@ -114,10 +104,6 @@ class TestTransformSpelling:
 
 
 class TestConflicts:
-    def test_bin_stage_conflicts_with_quantize_bins(self):
-        with pytest.raises(ValueError, match="one spelling"):
-            create("knn", quantize_bins=16, transform={"bin": 16})
-
     def test_dtype_stage_conflicts_with_dtype(self):
         with pytest.raises(ValueError, match="one spelling"):
             create("noble", dtype="float32", transform={"dtype": "float32"})
@@ -169,12 +155,6 @@ class TestResolveValidation:
         with pytest.raises(TypeError, match="embed stage"):
             create("embed-knn", transform={"embed": 16})
 
-    def test_bad_quantize_bins_fail_at_construction(self):
-        with pytest.raises(ValueError, match="quantize_bins"):
-            create("knn", transform={"bin": 1})
-        with pytest.raises(ValueError, match="quantize_bins"):
-            create("embed-knn", quantize_bins=100_000)
-
 
 class TestNoShardStage:
     """One kNN index per backend: no shard stage, no sharding kwargs."""
@@ -191,3 +171,20 @@ class TestNoShardStage:
     def test_partitioner_refused_at_construction(self):
         with pytest.raises(TypeError, match="partitioner"):
             create("knn", partitioner="kmeans")
+
+
+class TestNoBinStage:
+    """No uint8 input-binning stage: the scan always reads float points."""
+
+    @pytest.mark.parametrize(
+        "backend",
+        ["knn", "knn-regressor", "embed-knn", "noble", "cnnloc", "ensemble"],
+    )
+    def test_binning_refused_at_construction(self, backend):
+        with pytest.raises(TypeError, match="quantize_bins"):
+            create(backend, quantize_bins=16)
+        with pytest.raises((TypeError, ValueError), match="transform"):
+            create(backend, transform={"bin": 16})
+
+    def test_pipeline_has_only_the_embed_stage(self):
+        assert PIPELINE_STAGES == ("embed",)

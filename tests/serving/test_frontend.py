@@ -215,6 +215,16 @@ class TestErrorPaths:
         assert frontend.stats().submitted == 0
         frontend.close()
 
+    def test_complex_scan_is_refused_at_submit(self, fitted_knn, uji_split):
+        _train, _val, test = uji_split
+        frontend = ServingFrontend(fitted_knn, start=False)
+        with pytest.raises(ValueError, match="real numbers"):
+            frontend.submit(test.rssi[0] + 1j)
+        with pytest.raises(ValueError, match="real numbers"):
+            frontend.submit(test.rssi[0].astype(object))
+        assert frontend.stats().submitted == 0
+        frontend.close()
+
     def test_mixed_widths_without_a_fitted_width_fail_one_batch(self):
         class Echo(Estimator):  # reports no fitted width
             def fit(self, dataset):
