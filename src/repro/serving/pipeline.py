@@ -1,8 +1,9 @@
 """The feature-space pipeline seam shared by the serving backends.
 
-Every adapter in :mod:`repro.serving.registry` resolves its
-feature-space configuration — the learned embedder and ``dtype`` —
-through one validated **embedder → index** chain
+The ``embed-knn``, ``noble`` and ``cnnloc`` adapters in
+:mod:`repro.serving.registry` resolve their feature-space
+configuration — the learned embedder and ``dtype`` — through one
+validated **embedder → index** chain
 (:class:`FeaturePipeline`), so the canonicalization rules that keep
 :class:`~repro.serving.cache.ModelCache` /
 :class:`~repro.core.persistence.ModelStore` keys stable live in one
@@ -16,8 +17,9 @@ Two spellings construct the same pipeline::
 
 and mixing them for the *same* stage is an error rather than a silent
 override.  The learned-embedding stage (``"embed"``) is only available
-on backends that declare it (the ``"embed-knn"`` backend); everywhere
-else it fails at construction with a pointer to the right backend.
+on backends that declare it (the ``"embed-knn"`` backend); on
+``noble`` and ``cnnloc`` it fails at construction with a pointer to the
+right backend.  The plain kNN backends take no ``transform=`` at all.
 
 Cache-key stability is the load-bearing invariant: every stage is
 **absent-by-default** in the canonical params (``dtype=None`` produces

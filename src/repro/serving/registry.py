@@ -250,13 +250,8 @@ class KNNFingerprintingEstimator(Estimator):
     k-th neighbor distance the lowest index wins.
     """
 
-    def __init__(self, k: int = 5, weighted: bool = True, transform=None):
-        self._pipeline = FeaturePipeline.resolve(transform, backend="knn")
-        super().__init__(
-            k=int(k),
-            weighted=bool(weighted),
-            **self._pipeline.canonical_params(),
-        )
+    def __init__(self, k: int = 5, weighted: bool = True):
+        super().__init__(k=int(k), weighted=bool(weighted))
         self.model_ = None
 
     def fit(self, dataset: FingerprintDataset) -> "KNNFingerprintingEstimator":
@@ -280,8 +275,8 @@ class EmbeddedKNNEstimator(Estimator):
     The full feature-space pipeline: a learned embedder (§III-C — an
     NCA metric learner or an AE-pretrained MLP from
     :mod:`repro.embedding`) maps the radio map into a compact space at
-    fit, the existing kNN index is built on the *embedded* points, and query batches are embedded on the hot path
-    before the neighbor scan.  Distances shrink from the raw WAP count
+    fit, the existing kNN index is built on the *embedded* points, and
+    query batches are embedded on the hot path before the neighbor scan.  Distances shrink from the raw WAP count
     to ``n_components``, so the scan is faster *and* — because the
     embedding pulls same-location fingerprints together — typically
     more accurate than raw-RSSI kNN (the ``embed`` block of ``python -m
@@ -481,15 +476,8 @@ class KNNRegressorEstimator(_RegressorEstimator):
     One brute-force index over the normalized signals.
     """
 
-    def __init__(self, k: int = 5, weights: str = "uniform", transform=None):
-        self._pipeline = FeaturePipeline.resolve(
-            transform, backend="knn-regressor"
-        )
-        super().__init__(
-            k=int(k),
-            weights=weights,
-            **self._pipeline.canonical_params(),
-        )
+    def __init__(self, k: int = 5, weights: str = "uniform"):
+        super().__init__(k=int(k), weights=weights)
         self.model_ = None
 
     def _build(self):

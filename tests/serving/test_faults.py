@@ -57,6 +57,15 @@ class TestDelayedEstimator:
             delayed.predict_batch(queries[:2])
         assert delayed.n_delays == 0
 
+    def test_first_batch_always_delays(self, flat_knn, queries):
+        # any positive rate lands the fault on the very first batch
+        delayed = DelayedEstimator(flat_knn, rate=1e-9, delay_s=0.0, seed=3)
+        delayed.predict_batch(queries[:2])
+        assert delayed.n_delays == 1
+        idle = DelayedEstimator(flat_knn, rate=0.0, delay_s=0.0, seed=3)
+        idle.predict_batch(queries[:2])
+        assert idle.n_delays == 0
+
     def test_delay_pattern_is_seeded(self, flat_knn, queries):
         def pattern(seed):
             delayed = DelayedEstimator(

@@ -118,8 +118,12 @@ class TestConflicts:
 class TestStageGating:
     def test_embed_stage_rejected_off_embed_knn(self):
         # the error points at the backend that does support it
-        for backend in ("knn", "knn-regressor", "noble", "cnnloc"):
+        for backend in ("noble", "cnnloc"):
             with pytest.raises(ValueError, match="embed-knn"):
+                create(backend, transform={"embed": "mlp"})
+        # the plain kNN backends have no feature pipeline at all
+        for backend in ("knn", "knn-regressor"):
+            with pytest.raises(TypeError, match="transform"):
                 create(backend, transform={"embed": "mlp"})
 
     def test_embed_params_require_an_embedder(self):
@@ -141,11 +145,11 @@ class TestStageGating:
 class TestResolveValidation:
     def test_unknown_transform_key(self):
         with pytest.raises(ValueError, match="unknown transform stages"):
-            create("knn", transform={"quantize": 16})
+            create("noble", transform={"quantize": 16})
 
     def test_transform_type_error(self):
         with pytest.raises(TypeError, match="transform"):
-            create("knn", transform="bin=16")
+            create("noble", transform="bin=16")
 
     def test_embed_spec_needs_a_kind(self):
         with pytest.raises(ValueError, match="kind"):
