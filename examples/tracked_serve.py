@@ -10,7 +10,7 @@ equal to running that user alone through the offline tracker
 
 Mid-walk the process "dies": sessions are checkpointed through the
 persistent :class:`repro.serving.ModelStore` (versioned
-``repro-session/1`` artifacts) and the manager is dropped without a
+``repro-session/2`` artifacts) and the manager is dropped without a
 clean shutdown.  A fresh manager over the same store warm-restores
 every session on its next tick and the completed trajectories still
 match the uninterrupted oracle exactly — a restart is invisible to the

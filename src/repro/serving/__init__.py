@@ -44,10 +44,10 @@ The production-facing seam of the repo.  Four pieces compose:
     step* so every served estimate stays bitwise equal to the user's
     solo offline trajectory (:func:`solo_trajectory` is the oracle).
     Sessions checkpoint through the :class:`ModelStore`
-    (``repro-session/1`` artifacts, periodic + on-evict + shutdown),
+    (``repro-session/2`` artifacts, periodic + on-evict + shutdown),
     idle-TTL evict, and warm-restore on the next tick after a restart
     — with an in-flight guard so a restore stampede loads exactly
-    once.  :class:`TrackingFrontend` puts the deadline front end on
+    once.  :class:`TrackingFrontend` puts the async front end on
     top: ``submit(user_id, imu=segment)`` returns a ticket for that
     user's next position.  The ``sessions`` block of ``python -m
     repro.cli serve-bench`` proves throughput, oracle parity, and
@@ -70,13 +70,14 @@ cache registers an ``os.register_at_fork`` hook that gives children a
 fresh lock and in-flight table.  Forking a live
 :class:`ServingFrontend` is not supported — create it after the fork.
 
-Asynchronous serving under a 50 ms latency budget::
+Asynchronous serving (an idle worker serves whatever is queued;
+``deadline_ms=`` would hold a partial batch back to fill)::
 
     from repro.serving import ModelCache, ServingFrontend
 
     cache = ModelCache(capacity=8)
     estimator = cache.get_or_fit("knn", radio_map, k=3)
-    with ServingFrontend(estimator, batch_size=64, deadline_ms=50) as fe:
+    with ServingFrontend(estimator, batch_size=64) as fe:
         tickets = [fe.submit(scan) for scan in incoming]
         positions = [t.result().coordinates[0] for t in tickets]
 

@@ -7,9 +7,12 @@ traffic needs something to assemble those matrices.
 the batcher from a worker thread, with the four properties a real
 serving tier needs:
 
-* **deadline-based flush** — every request carries a latency budget
-  (``deadline_ms``); a partial batch drains as soon as its *oldest*
-  request's budget expires, not only when the batch fills.
+* **work-conserving flush** — an idle drain path serves whatever is
+  queued at once; requests that arrive while a batch is being served
+  pile up, so under load batches still fill.  ``deadline_ms`` (default
+  0) is the longest a partial batch may be held back to fill: a batch
+  drains when it is full or when any queued request's hold has
+  elapsed.
 * **bounded-queue backpressure** — at most ``max_pending`` requests may
   be queued; beyond that the ``admission=`` policy decides: by default
   ``submit`` blocks until the worker drains
@@ -25,7 +28,7 @@ serving tier needs:
 
 Typical use::
 
-    with ServingFrontend(estimator, batch_size=64, deadline_ms=50) as fe:
+    with ServingFrontend(estimator, batch_size=64) as fe:
         tickets = [fe.submit(scan) for scan in incoming]
         positions = [t.result().coordinates[0] for t in tickets]
 
@@ -319,7 +322,7 @@ class FrontendStats:
 
 
 class ServingFrontend:
-    """Event-loop front end: deadline flush, backpressure, timeouts.
+    """Event-loop front end: work-conserving flush, backpressure, timeouts.
 
     Parameters
     ----------
@@ -335,11 +338,15 @@ class ServingFrontend:
         shutdown.
     batch_size:
         Maximum queries per vectorized model call; a full batch drains
-        immediately, a partial one when its oldest request's deadline
-        expires.
+        immediately, a partial one once a queued request's
+        ``deadline_ms`` hold has elapsed.
     deadline_ms:
-        Default per-request latency budget before a partial batch is
-        forced out; ``submit`` can override per request.
+        Default longest time (>= 0) a request may be held back so its
+        partial batch can fill; ``submit`` can override per request.
+        At 0 (default) every request is due on arrival, so an idle
+        drain path serves whatever is queued (as Triton's
+        ``max_queue_delay``); a positive value trades that latency for
+        fuller batches at low load.
     timeout_ms:
         Default per-request expiry: a request still *queued* this long
         after submission fails with :class:`RequestTimeoutError`
@@ -373,7 +380,7 @@ class ServingFrontend:
         self,
         estimator: "Estimator | None" = None,
         batch_size: int = 64,
-        deadline_ms: float = 50.0,
+        deadline_ms: float = 0.0,
         timeout_ms: "float | None" = None,
         max_pending: int = 1024,
         clock=None,
@@ -386,8 +393,8 @@ class ServingFrontend:
             raise ValueError(
                 "pass exactly one of estimator (thread path) or executor"
             )
-        if deadline_ms <= 0:
-            raise ValueError(f"deadline_ms must be > 0, got {deadline_ms}")
+        if deadline_ms < 0:
+            raise ValueError(f"deadline_ms must be >= 0, got {deadline_ms}")
         if timeout_ms is not None and timeout_ms <= 0:
             raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
         if max_pending < 1:
@@ -507,8 +514,8 @@ class ServingFrontend:
         """
         signal = check_signals(signal, self._n_features, ndim=1)
         deadline = (self.deadline_ms if deadline_ms is None else deadline_ms) / 1e3
-        if deadline <= 0:
-            raise ValueError(f"deadline_ms must be > 0, got {deadline_ms}")
+        if deadline < 0:
+            raise ValueError(f"deadline_ms must be >= 0, got {deadline_ms}")
         timeout = self.timeout_ms if timeout_ms is None else timeout_ms
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
@@ -618,7 +625,8 @@ class ServingFrontend:
 
         A batch is due when it is full, when the front end is closed
         (drain), or when *any* queued request's deadline has passed —
-        the queue drains FIFO, so an overdue request pulls the whole
+        at the default ``deadline_ms=0`` that is any queued request.
+        The queue drains FIFO, so an overdue request pulls the whole
         prefix ahead of it into the batch.
         """
         self._expire_locked(now)
@@ -698,7 +706,8 @@ class ServingFrontend:
         """Run one drain cycle against the current clock (manual mode).
 
         Expires timed-out requests, then — if a batch is due (full, or
-        its oldest request's deadline has passed) — serves it.  Returns
+        a queued request's deadline has passed: with the default
+        ``deadline_ms=0``, whatever is queued) — serves it.  Returns
         the number of requests taken this cycle.  Only valid on a front
         end built with ``start=False``; threaded front ends drain
         themselves.

@@ -56,15 +56,20 @@ rules buy this:
 
 Checkpointing
 -------------
-Session state persists through the PR 5 :class:`ModelStore` directory
-as versioned ``repro-session/1`` artifacts (same ``.npz`` + JSON
-envelope idiom and atomic ``mkstemp``/``os.replace`` writes as the
-estimator artifacts, addressed by ``store.path_for("session-<kind>",
-namespace, user_id)``).  Snapshots are taken every
-``checkpoint_every`` ticks, on idle eviction, and at ``close()``; a
-fresh manager over the same store warm-restores a user's track on
-first contact, with a per-user in-flight guard so a restart stampede
-loads each checkpoint exactly once.  Corrupt or foreign artifacts are
+Session state persists through the :class:`ModelStore` directory as
+versioned ``repro-session/2`` artifacts: a plain ``.npz`` of exactly
+two members, ``state`` (every engine array packed into one flat
+float64 vector) and ``session_json`` (the JSON envelope, which records
+the ``[[name, shape], ...]`` layout that splits ``state`` back into
+the engine's named arrays).  One uncompressed member keeps a warm
+restore to a single array read.  Writes are atomic
+(``mkstemp``/``os.replace``, as for the estimator artifacts), addressed
+by ``store.path_for("session-<kind>", namespace, user_id)``.
+Snapshots are taken every ``checkpoint_every`` ticks, on idle
+eviction, and at ``close()``; a fresh manager over the same store
+warm-restores a user's track on first contact, with a per-user
+in-flight guard so a restart stampede loads each checkpoint exactly
+once.  Corrupt or foreign artifacts are
 quarantined (``*.corrupt``) with a warning and the track restarts
 fresh — a bad file must never take down the serving path.
 """
@@ -72,6 +77,7 @@ fresh — a bad file must never take down the serving path.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import tempfile
 import threading
@@ -89,7 +95,7 @@ from repro.serving.registry import Prediction
 from repro.utils.rng import ensure_rng
 
 #: Version tag baked into every session checkpoint artifact.
-SESSION_SCHEMA = "repro-session/1"
+SESSION_SCHEMA = "repro-session/2"
 
 #: Step-detection constants shared with the offline trackers.
 _STEP_THRESHOLD = 1.0
@@ -104,13 +110,50 @@ def _json_blob(payload: dict) -> np.ndarray:
     """A JSON payload as a uint8 array (npz archives hold arrays only)."""
     import json
 
-    return np.frombuffer(json.dumps(payload).encode("utf-8"), dtype=np.uint8)
+    text = json.dumps(payload, separators=(",", ":"))
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
 
 
 def _json_unblob(array: np.ndarray) -> dict:
     import json
 
     return json.loads(bytes(bytearray(array)).decode("utf-8"))
+
+
+def _pack_state(arrays: "dict[str, np.ndarray]"):
+    """Named engine arrays as one flat float64 vector plus its layout."""
+    layout = [[name, list(np.shape(array))] for name, array in arrays.items()]
+    flat = np.concatenate(
+        [np.asarray(array, dtype=np.float64).ravel() for array in arrays.values()]
+    )
+    return flat, layout
+
+
+def _unpack_state(flat: np.ndarray, layout) -> "dict[str, np.ndarray]":
+    """Invert :func:`_pack_state`; ``ValueError`` on any mismatch."""
+    if flat.dtype != np.float64 or flat.ndim != 1:
+        raise ValueError(
+            f"checkpoint state must be flat float64, got {flat.dtype} "
+            f"{flat.shape}"
+        )
+    try:
+        shapes = [
+            (str(name), tuple(int(n) for n in shape)) for name, shape in layout
+        ]
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"malformed checkpoint layout: {layout!r}") from error
+    sizes = [math.prod(shape) for _name, shape in shapes]
+    negative = any(n < 0 for _name, shape in shapes for n in shape)
+    if negative or sum(sizes) != flat.size:
+        raise ValueError(
+            f"checkpoint layout {layout!r} does not match {flat.size} "
+            "state values"
+        )
+    arrays, start = {}, 0
+    for (name, shape), size in zip(shapes, sizes):
+        arrays[name] = flat[start : start + size].reshape(shape)
+        start += size
+    return arrays
 
 
 # ===================================================================== engines
@@ -1056,8 +1099,9 @@ class SessionManager:
             "ticks": session.ticks,
             "state_meta": self.engine.state_meta(session.state),
         }
-        arrays = dict(self.engine.state_arrays(session.state))
-        arrays["session_json"] = _json_blob(envelope)
+        state, envelope["layout"] = _pack_state(
+            self.engine.state_arrays(session.state)
+        )
         base = os.path.basename(path)[: -len(".npz")]
         try:
             fd, tmp = tempfile.mkstemp(
@@ -1065,7 +1109,9 @@ class SessionManager:
             )
             try:
                 with os.fdopen(fd, "wb") as handle:
-                    np.savez_compressed(handle, **arrays)
+                    np.savez(
+                        handle, state=state, session_json=_json_blob(envelope)
+                    )
                 os.replace(tmp, path)
             except BaseException:
                 try:
@@ -1097,8 +1143,8 @@ class SessionManager:
             self.n_restore_loads += 1
         try:
             with np.load(path, allow_pickle=False) as archive:
-                arrays = {name: archive[name] for name in archive.files}
-            envelope = _json_unblob(arrays.pop("session_json"))
+                members = {name: archive[name] for name in archive.files}
+            envelope = _json_unblob(members.pop("session_json"))
             if envelope.get("schema") != SESSION_SCHEMA:
                 raise ValueError(
                     f"checkpoint schema {envelope.get('schema')!r}; this "
@@ -1124,7 +1170,8 @@ class SessionManager:
                 )
                 return None
             state = self.engine.restore_state(
-                arrays, envelope.get("state_meta") or {}
+                _unpack_state(members["state"], envelope.get("layout")),
+                envelope.get("state_meta") or {},
             )
         except (ValueError, KeyError, OSError, EOFError) as error:
             quarantine = path + ".corrupt"

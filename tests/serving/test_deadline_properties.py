@@ -155,6 +155,16 @@ def test_resolve_within_deadline_or_timeout_property(seed):
 
 
 class TestDeadlineFlush:
+    def test_default_serves_a_lone_request_on_the_first_pump(self):
+        clock = FakeClock()
+        frontend = ServingFrontend(
+            EchoEstimator(), batch_size=8, clock=clock, start=False
+        )
+        ticket = frontend.submit(_signal(0))
+        assert frontend.pump() == 1  # t=0: due on arrival
+        assert ticket.done
+        frontend.close()
+
     def test_partial_batch_waits_exactly_until_deadline(self):
         clock = FakeClock()
         estimator = EchoEstimator()

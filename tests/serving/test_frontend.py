@@ -75,6 +75,20 @@ class TestRoundtrip:
         assert ticket.exception() is None
 
 
+class TestWorkConservingDefault:
+    def test_idle_worker_serves_a_lone_request_without_the_clock_moving(
+        self, fitted_knn, uji_split
+    ):
+        # a frozen clock never reaches any positive hold: only the
+        # default deadline_ms=0 lets the idle worker serve this request
+        _train, _val, test = uji_split
+        with ServingFrontend(fitted_knn, clock=lambda: 0.0) as frontend:
+            assert frontend.deadline_ms == 0.0
+            ticket = frontend.submit(test.rssi[0])
+            ticket.result(timeout=5)
+        assert frontend.stats().batches == 1
+
+
 class TestShutdown:
     def test_close_drains_pending(self, fitted_knn, uji_split):
         _train, _val, test = uji_split
@@ -270,7 +284,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             ServingFrontend(fitted_knn, batch_size=0)
         with pytest.raises(ValueError):
-            ServingFrontend(fitted_knn, deadline_ms=0)
+            ServingFrontend(fitted_knn, deadline_ms=-1)
         with pytest.raises(ValueError):
             ServingFrontend(fitted_knn, timeout_ms=0)
         with pytest.raises(ValueError):
@@ -284,7 +298,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="single"):
             frontend.submit(np.zeros((2, test.n_aps)))
         with pytest.raises(ValueError, match="deadline_ms"):
-            frontend.submit(test.rssi[0], deadline_ms=0)
+            frontend.submit(test.rssi[0], deadline_ms=-1)
         with pytest.raises(ValueError, match="timeout_ms"):
             frontend.submit(test.rssi[0], timeout_ms=-1)
         frontend.close()

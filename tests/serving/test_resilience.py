@@ -230,6 +230,65 @@ class TestEarlyReject:
             frontend.close(drain=False)
 
 
+class TestEarlyRejectAtTheDefaultDeadline:
+    """At ``deadline_ms=0`` a lightly loaded front end serves one-row
+    batches, so the per-request EWMA learns the full fixed cost of a
+    batch.  A burst that then queues up is served in one batch at a
+    fraction of ``pending x EWMA``."""
+
+    @staticmethod
+    def _burst(admission):
+        clock = FakeClock()
+
+        class Costed(Echo):
+            def predict_batch(self, signals):
+                # 10 ms per batch plus 0.1 ms per row, on the fake clock
+                clock.now += 0.010 + 0.0001 * len(signals)
+                return super().predict_batch(signals)
+
+        frontend = manual_frontend(
+            estimator=Costed(),
+            batch_size=64,
+            deadline_ms=0,
+            max_pending=1024,
+            admission=admission,
+            clock=clock,
+        )
+        for i in range(5):  # light load: each request is a one-row batch
+            frontend.submit(np.array([float(i), 0.0]))
+            assert frontend.pump() == 1
+        assert frontend.stats().service_estimate_ms == pytest.approx(10.1)
+        tickets, shed = [], 0
+        for i in range(20):
+            try:
+                tickets.append(
+                    frontend.submit(np.array([float(i), 0.0]), timeout_ms=100.0)
+                )
+            except ShedError:
+                shed += 1
+        while frontend.pump():
+            pass
+        frontend.close()
+        latencies_ms = [1e3 * t.latency_s for t in tickets if t.exception() is None]
+        return shed, latencies_ms
+
+    def test_the_burst_fits_its_timeout_when_admitted(self):
+        shed, latencies_ms = self._burst(FairShedAdmission(early_reject=False))
+        assert shed == 0 and len(latencies_ms) == 20
+        # one 20-row batch: 10 ms + 20 x 0.1 ms
+        assert max(latencies_ms) == pytest.approx(12.0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: the early reject predicts pending x the "
+        "one-row-batch EWMA (10.1 ms) and sheds 10 of 20 requests that "
+        "one 12 ms batch would serve inside their 100 ms timeout",
+    )
+    def test_early_reject_admits_a_burst_that_fits_its_timeout(self):
+        shed, _latencies_ms = self._burst(FairShedAdmission())
+        assert shed == 0
+
+
 class TestRetryPolicy:
     def test_validates_parameters(self):
         with pytest.raises(ValueError, match="attempts"):

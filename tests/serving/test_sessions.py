@@ -320,6 +320,80 @@ class TestCheckpointSafety:
             with pytest.raises(UnknownSessionError):
                 fresh.step("a", walk.segments[1])
 
+    @staticmethod
+    def _particle_checkpoint(walk, store):
+        route = court_route_graph()
+        engine = StreamingParticleTracker(
+            route_graph_segments(route.nodes, route.adjacency), n_particles=40
+        )
+        manager = SessionManager(engine, store=store, seed=13)
+        manager.start_session("a", walk.references[0], float(walk.headings[0]))
+        manager.step("a", walk.segments[0])
+        manager.close()
+        return engine, manager._checkpoint_path("a")
+
+    @staticmethod
+    def _read(path):
+        import json
+
+        with np.load(path) as archive:
+            members = {name: archive[name] for name in archive.files}
+        envelope = json.loads(bytes(bytearray(members.pop("session_json"))))
+        return members, envelope
+
+    @staticmethod
+    def _blob(envelope):
+        import json
+
+        return np.frombuffer(json.dumps(envelope).encode(), dtype=np.uint8)
+
+    def _assert_quarantined(self, walk, engine, store, path):
+        import os
+
+        fresh = SessionManager(engine, store=store, seed=13)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            with pytest.raises(UnknownSessionError):
+                fresh.step("a", walk.segments[1])
+        assert fresh.stats().quarantined == 1
+        assert fresh.stats().restored == 0
+        assert os.path.exists(path + ".corrupt")
+
+    def test_checkpoint_is_one_packed_state_array(self, walk, tmp_path):
+        engine, path = self._particle_checkpoint(walk, ModelStore(tmp_path))
+        members, envelope = self._read(path)
+        assert list(members) == ["state"]
+        assert members["state"].dtype == np.float64
+        assert members["state"].ndim == 1
+        assert envelope["schema"] == SESSION_SCHEMA == "repro-session/2"
+        sizes = [int(np.prod(shape)) for _name, shape in envelope["layout"]]
+        assert sum(sizes) == members["state"].size
+
+    def test_seven_member_v1_checkpoint_quarantined(self, walk, tmp_path):
+        """A checkpoint in the old one-member-per-array layout is never
+        mis-restored by a build that reads the packed layout."""
+        store = ModelStore(tmp_path)
+        engine, path = self._particle_checkpoint(walk, store)
+        members, envelope = self._read(path)
+        arrays, start = {}, 0
+        for name, shape in envelope.pop("layout"):
+            size = int(np.prod(shape))
+            arrays[name] = members["state"][start : start + size].reshape(shape)
+            start += size
+        envelope["schema"] = "repro-session/1"
+        arrays["session_json"] = self._blob(envelope)
+        assert len(arrays) == 7
+        np.savez_compressed(path, **arrays)
+        self._assert_quarantined(walk, engine, store, path)
+
+    def test_layout_size_mismatch_quarantined(self, walk, tmp_path):
+        store = ModelStore(tmp_path)
+        engine, path = self._particle_checkpoint(walk, store)
+        members, envelope = self._read(path)
+        name, shape = envelope["layout"][0]
+        envelope["layout"][0] = [name, [shape[0] - 1] + shape[1:]]
+        np.savez(path, state=members["state"], session_json=self._blob(envelope))
+        self._assert_quarantined(walk, engine, store, path)
+
     def test_engine_fingerprint_mismatch_ignored_not_quarantined(
         self, walk, tmp_path
     ):
